@@ -35,7 +35,7 @@ except ImportError:  # standalone script run
     pytest = None
 
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.campaign.batch import numpy_available, run_shard
+from repro.campaign.batch import run_shard
 from repro.faults import CampaignResult, InjectionCampaign
 from repro.workloads import synthetic_profile
 
@@ -147,8 +147,6 @@ def render(injectors):
 
 
 def test_batch_injector_speedup():
-    if not numpy_available():
-        pytest.skip("batch injector requires numpy")
     injectors = measure_injectors()
     persist(injectors)
     assert injectors["speedup_vs_classic"] >= SPEEDUP_FLOOR, (

@@ -23,8 +23,7 @@ import os
 import time
 
 from repro.eval.report import generate_report
-from repro.pipeline.context import EvaluationContext, set_context
-from repro.sim.fastpath import set_default_engine
+from repro.pipeline.context import EvaluationContext, using_context
 
 REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
 
@@ -38,15 +37,10 @@ SPEEDUP_FLOOR = 2.0
 
 def _cold_report(engine):
     """Render the sim-bound report subset from an empty pipeline."""
-    previous_context = set_context(EvaluationContext())
-    previous_engine = set_default_engine(engine)
-    try:
+    with using_context(EvaluationContext(engine=engine)):
         start = time.perf_counter()
         text = generate_report(include=list(SIM_BOUND))
         elapsed = time.perf_counter() - start
-    finally:
-        set_default_engine(previous_engine)
-        set_context(previous_context)
     return elapsed, text
 
 

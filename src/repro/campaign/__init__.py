@@ -25,14 +25,7 @@ See ``docs/campaigns.md`` for the architecture and the checkpoint
 format, and ``examples/campaign_parallel.py`` for a worked example.
 """
 
-from .batch import (
-    INJECTOR_ENV,
-    INJECTORS,
-    default_injector,
-    effective_injector,
-    resolve_injector,
-    set_default_injector,
-)
+from .batch import INJECTOR_ENV, INJECTORS, resolve_injector
 from .checkpoint import RunDirectory
 from .executor import execute_shard, shard_worker
 from .progress import ProgressEvent, ProgressPrinter
@@ -71,12 +64,9 @@ __all__ = [
     "ShardRecord",
     "ShardScheduler",
     "analytic_vulnerability",
-    "default_injector",
     "drain_on_signals",
-    "effective_injector",
     "execute_shard",
     "resolve_injector",
-    "set_default_injector",
     "shard_worker",
     "spawn_seed",
     "spawn_seeds",

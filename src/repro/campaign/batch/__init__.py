@@ -35,89 +35,20 @@ differs, exactly like the ``reference``/``fast`` execution engines of
 :mod:`repro.sim.fastpath`.
 
 The knob mirrors the engine knob: ``--injector trial|batch|auto`` on
-``repro campaign``, the ``REPRO_INJECTOR`` environment variable, or
-:func:`set_default_injector`.  ``auto`` (the default) picks ``batch``
-when NumPy is importable and falls back to the per-trial path
-otherwise; without NumPy the per-trial path is the classic
-:class:`~repro.faults.InjectionCampaign` stream.
+``repro campaign`` or the ``REPRO_INJECTOR`` environment variable,
+resolved once into :class:`~repro.config.RunOptions`; ``auto`` (the
+default) is ``batch``.
 """
 
 from __future__ import annotations
 
-import os
-
-from ...errors import ConfigurationError
-
-#: valid values of the injector knob
-INJECTORS = ("trial", "batch", "auto")
-
-#: environment override for the process-wide default injector
-INJECTOR_ENV = "REPRO_INJECTOR"
-
-_default_injector = None
-
-
-def default_injector():
-    """The process-wide default injector (``auto`` unless overridden).
-
-    Honours the ``REPRO_INJECTOR`` environment variable on first use; an
-    unknown value raises immediately rather than silently running the
-    wrong evaluator.
-    """
-    global _default_injector
-    if _default_injector is None:
-        value = os.environ.get(INJECTOR_ENV, "").strip().lower() or "auto"
-        if value not in INJECTORS:
-            raise ConfigurationError(
-                "%s=%r is not one of %s" % (INJECTOR_ENV, value,
-                                            "/".join(INJECTORS)))
-        _default_injector = value
-    return _default_injector
-
-
-def set_default_injector(name):
-    """Install a new default injector; returns the previous default."""
-    global _default_injector
-    if name not in INJECTORS:
-        raise ConfigurationError(
-            "unknown injector %r (one of %s)" % (name,
-                                                 "/".join(INJECTORS)))
-    previous = default_injector()
-    _default_injector = name
-    return previous
+from ...config import INJECTOR_ENV, INJECTORS, RunOptions
 
 
 def resolve_injector(choice):
-    """Normalise an injector choice (None means the process default)."""
-    if choice is None:
-        return default_injector()
-    if choice not in INJECTORS:
-        raise ConfigurationError(
-            "unknown injector %r (one of %s)" % (choice,
-                                                 "/".join(INJECTORS)))
-    return choice
-
-
-def numpy_available():
-    """Can the vectorized evaluators run in this process?"""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def effective_injector(choice=None):
-    """Resolve a choice down to the evaluator that will actually run.
-
-    ``auto`` becomes ``batch`` when NumPy is importable and ``trial``
-    otherwise, so campaigns never fail for lack of the optional
-    vectorized path — they just run the per-trial evaluator.
-    """
-    choice = resolve_injector(choice)
-    if choice != "auto":
-        return choice
-    return "batch" if numpy_available() else "trial"
+    """The evaluator ``choice`` runs (``None`` and ``auto`` resolve
+    through :meth:`RunOptions.resolve <repro.config.RunOptions.resolve>`)."""
+    return RunOptions.resolve(injector=choice).injector
 
 
 def run_shard(spec, shard_index, injector=None):
@@ -134,10 +65,6 @@ def run_shard(spec, shard_index, injector=None):
 __all__ = [
     "INJECTORS",
     "INJECTOR_ENV",
-    "default_injector",
-    "effective_injector",
-    "numpy_available",
     "resolve_injector",
     "run_shard",
-    "set_default_injector",
 ]

@@ -34,11 +34,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .. import obs
-from ..config import engine_knob, injector_knob
 from ..errors import CampaignError
 from ..eval.tables import render_table
 from ..faults.injector import CampaignResult
 from ..obs import context as obs_context
+from .batch import resolve_injector
 from .checkpoint import RunDirectory
 from .executor import FAIL_SHARDS_ENV  # noqa: F401  (re-export: test hook)
 from .executor import execute_shard as _execute_shard
@@ -108,8 +108,7 @@ class CampaignSummary:
     elapsed: float = 0.0
     jobs: int = 1
     fresh_trials: int = 0
-    engine: Optional[str] = None  # engine forced for this run (None = default)
-    injector: Optional[str] = None  # injector forced (None = default)
+    injector: Optional[str] = None  # the shard evaluator that ran
     drained: bool = False  # stopped early by a graceful drain
 
     @property
@@ -202,7 +201,7 @@ class CampaignRunner:
 
     def __init__(self, spec, jobs=1, run_dir=None, resume=False,
                  max_retries=DEFAULT_MAX_RETRIES, progress=None,
-                 engine=None, injector=None, scheduler=None):
+                 injector=None, scheduler=None):
         if jobs < 1:
             raise CampaignError("jobs must be >= 1, got %r" % (jobs,))
         if max_retries < 0:
@@ -216,14 +215,11 @@ class CampaignRunner:
         self.resume = resume
         self.max_retries = max_retries
         self.progress = progress
-        #: execution engine for any simulation the shards perform; None
-        #: defers to the process default.  Results are engine-invariant,
-        #: so shard journals stay resumable across engine choices.
-        self.engine = engine_knob().resolve(engine)
-        #: shard evaluator (trial/batch/auto); None defers to the
-        #: process default.  Results are injector-invariant by the batch
-        #: equivalence contract, so journals resume across injectors.
-        self.injector = injector_knob().resolve(injector)
+        #: shard evaluator, resolved (``trial``/``batch``; ``None`` and
+        #: ``auto`` through RunOptions).  Results are injector-invariant
+        #: by the batch equivalence contract, so journals resume across
+        #: injectors.
+        self.injector = resolve_injector(injector)
         #: shared work-stealing scheduler; None means this run owns a
         #: private one (built only when ``jobs > 1``).  With a shared
         #: scheduler the shards always go through its persistent pool,
@@ -251,15 +247,6 @@ class CampaignRunner:
     # --- orchestration ----------------------------------------------------------
 
     def run(self):
-        # Install the engine/injector choices as process defaults for
-        # the duration and export them so any fresh worker processes
-        # inherit the choice (scheduler workers additionally receive
-        # them per task, because persistent workers outlive this run).
-        with engine_knob().installed(self.engine):
-            with injector_knob().installed(self.injector):
-                return self._run()
-
-    def _run(self):
         start = time.perf_counter()
         records = {}
         if self.run_directory is not None:
@@ -308,7 +295,7 @@ class CampaignRunner:
         return ledger.begin(
             "campaign",
             key=self.spec.fingerprint(),
-            knobs={"engine": self.engine, "injector": self.injector},
+            knobs={"injector": self.injector},
             params={"trials": self.spec.trials,
                     "seed": self.spec.seed,
                     "shards": self.spec.shard_count,
@@ -340,7 +327,8 @@ class CampaignRunner:
                 attempts += 1
                 shard_start = time.perf_counter()
                 try:
-                    result = _execute_shard(self.spec, index)
+                    result = _execute_shard(self.spec, index,
+                                            injector=self.injector)
                 except Exception as error:
                     if not state.note_failure(index, attempts, error):
                         break  # retries exhausted; recorded as failed
@@ -363,8 +351,8 @@ class CampaignRunner:
             state.worker_traced = trace_ctx is not None
             job = scheduler.submit(
                 self.spec, indices=pending, max_retries=self.max_retries,
-                engine=self.engine, injector=self.injector,
-                listener=_RunnerListener(state), trace_ctx=trace_ctx)
+                injector=self.injector, listener=_RunnerListener(state),
+                trace_ctx=trace_ctx)
             self._active_job = job
             if self._drain_requested.is_set():
                 job.drop_pending()  # the drain raced the submit
@@ -495,7 +483,6 @@ class _RunState:
             elapsed=time.perf_counter() - self.start,
             jobs=self.runner.jobs,
             fresh_trials=self.fresh_trials,
-            engine=self.runner.engine,
             injector=self.runner.injector,
             drained=self.drained,
         )

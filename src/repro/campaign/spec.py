@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from ..config import Protection
 from ..errors import CampaignError
-from ..faults.injector import InjectionCampaign, Target
+from ..faults.injector import Target
 from ..faults.mbu import MbuDistribution
 
 DEFAULT_SHARD_SIZE = 25_000
@@ -166,28 +166,18 @@ class CampaignSpec:
     def build_injector(self, shard_index, injector=None):
         """The evaluator for one shard, seeded by the spawning discipline.
 
-        ``injector`` is a :mod:`repro.campaign.batch` knob value
-        (``trial`` / ``batch`` / ``auto``); ``None`` defers to the
-        process default.  Both evaluators consume the identical sampled
-        strike stream, so the choice changes throughput, never counts.
-        Without NumPy the per-trial evaluator falls back to the classic
-        :class:`~repro.faults.InjectionCampaign` stream.
+        ``injector`` is an ``--injector`` value (``trial`` / ``batch``
+        / ``auto``); ``None`` resolves through
+        :class:`~repro.config.RunOptions`.  Both evaluators consume the
+        identical sampled strike stream, so the choice changes
+        throughput, never counts.
         """
-        from .batch import effective_injector, numpy_available
-
-        choice = effective_injector(injector)
-        if not numpy_available():
-            if choice == "batch":
-                raise CampaignError(
-                    "injector 'batch' requires NumPy; use "
-                    "--injector trial")
-            return InjectionCampaign.from_targets(
-                self.targets, self.total_spm_bytes,
-                mbu=self.build_mbu(), seed=self.shard_seed(shard_index))
+        from .batch import resolve_injector
         from .batch.engine import BatchInjector, TrialInjector
 
-        cls = BatchInjector if choice == "batch" else TrialInjector
-        return cls(self, shard_index)
+        if resolve_injector(injector) == "batch":
+            return BatchInjector(self, shard_index)
+        return TrialInjector(self, shard_index)
 
     def build_campaign(self, shard_index):
         """The per-trial evaluator for one shard (reference discipline)."""

@@ -29,7 +29,7 @@ import os
 import sys
 
 from . import obs
-from .config import engine_knob, injector_knob, preset
+from .config import ENGINES, INJECTORS, RunOptions, preset
 from .core.online import build_machine
 from .core.priorities import OptimizationMode, thresholds_for_mode
 from .errors import ReproError
@@ -37,7 +37,7 @@ from .eval.experiments import experiment_names, run_experiment
 from .eval.structures import STRUCTURES
 from .faults.injector import InjectionCampaign
 from .isa.disasm import disassemble_program
-from .pipeline import get_context
+from .pipeline import get_context, using_context
 from .profile.report import format_profile_table
 from .units import format_energy, format_time
 from .workloads.kernels import kernel_names
@@ -243,7 +243,8 @@ def _cmd_run(args):
             "workload %r is profile-only; pick 'case' or a kernel"
             % args.workload)
     config, plan, _ = get_context().plan(profile, args.structure)
-    machine = build_machine(program, config, plan, profile)
+    machine = build_machine(program, config, plan, profile,
+                            engine=args.options.engine)
     result = machine.run()
     print("structure:        %s" % args.structure)
     print("instructions:     {:,}".format(result.instructions))
@@ -286,8 +287,8 @@ def _cmd_inject(args):
     spec = CampaignSpec.from_entries(
         plan.avf_entries(profile), plan.total_spm_bytes(),
         profile.total_cycles, trials=args.trials, seed=args.seed)
-    summary = CampaignRunner(spec, jobs=args.jobs, engine=args.engine,
-                             injector=args.injector).run()
+    summary = CampaignRunner(spec, jobs=args.jobs,
+                             injector=args.options.injector).run()
     _print_injection_counts(summary.result)
     interval = summary.interval("harmful")
     print("95%% Wilson CI:    [%.5f, %.5f]" % (interval.low, interval.high))
@@ -298,25 +299,20 @@ def _cmd_inject(args):
 
 def _print_campaign_plan(args, spec):
     """--dry-run: the complete shard plan, without running a trial."""
-    from .campaign.batch import effective_injector, numpy_available
+    from .campaign.batch.surface import StrikeSurface
     from .eval.tables import render_table
-    from .sim.fastpath import default_engine
 
-    injector = effective_injector(args.injector)
-    engine = args.engine or default_engine()
     print("campaign plan: %s on %s" % (args.workload, args.structure))
     print("trials:       {:,} in {} shard(s) of <= {:,}".format(
         spec.trials, spec.shard_count, spec.shard_size))
     print("injector:     %s%s" % (
-        injector, "" if args.injector else " (default)"))
+        args.options.injector, "" if args.injector else " (default)"))
     print("engine:       %s%s" % (
-        engine, "" if args.engine else " (default)"))
+        args.options.engine, "" if args.engine else " (default)"))
     print("jobs:         %d" % args.jobs)
-    if numpy_available():
-        from .campaign.batch.surface import StrikeSurface
-        fraction = StrikeSurface.from_spec(spec).fault_free_fraction()
-        print("fault-free:   %.1f%% of strikes fast-forward without "
-              "codec work" % (100.0 * fraction))
+    fraction = StrikeSurface.from_spec(spec).fault_free_fraction()
+    print("fault-free:   %.1f%% of strikes fast-forward without "
+          "codec work" % (100.0 * fraction))
     rows = [[row["shard"], "{:,}".format(row["trials"]),
              "0x%016x" % row["seed"]] for row in spec.shard_plan()]
     print(render_table(["Shard", "Trials", "Seed"], rows,
@@ -330,7 +326,6 @@ def _cmd_campaign(args):
         ProgressPrinter,
         analytic_vulnerability,
         drain_on_signals,
-        effective_injector,
     )
 
     if args.resume and not args.out:
@@ -346,8 +341,8 @@ def _cmd_campaign(args):
     progress = None if args.no_progress else ProgressPrinter()
     runner = CampaignRunner(spec, jobs=args.jobs, run_dir=args.out,
                             resume=args.resume, max_retries=args.retries,
-                            progress=progress, engine=args.engine,
-                            injector=args.injector)
+                            progress=progress,
+                            injector=args.options.injector)
     # First SIGINT/SIGTERM drains gracefully (in-flight shards finish
     # and checkpoint; pending ones stay resumable); a second one kills.
     with drain_on_signals(runner):
@@ -363,7 +358,7 @@ def _cmd_campaign(args):
           % analytic)
     print("CI brackets analytic:   %s"
           % ("yes" if interval.brackets(analytic) else "NO"))
-    print("injector:               %s" % effective_injector(args.injector))
+    print("injector:               %s" % args.options.injector)
     print("throughput:             {:,.0f} trials/s over {} job(s)".format(
         summary.throughput, args.jobs))
     if summary.drained:
@@ -385,8 +380,9 @@ def _cmd_serve(args):
     service = ReproService(host=args.host, port=args.port,
                            workers=args.workers,
                            job_threads=args.job_threads,
-                           cache_dir=args.cache_dir, engine=args.engine,
-                           injector=args.injector,
+                           cache_dir=args.cache_dir,
+                           engine=args.options.engine,
+                           injector=args.options.injector,
                            ledger_path=args.ledger)
 
     def announce():
@@ -423,10 +419,11 @@ def _cmd_submit(args):
 
     params = _parse_submit_params(args.param)
     params["workload"] = args.workload
-    for knob in (engine_knob(), injector_knob()):
-        value = getattr(args, knob.name, None)
-        if value is not None:
-            params[knob.name] = value
+    # Only explicit flags travel: an omitted one leaves the job on the
+    # server's own default.
+    for knob in ("engine", "injector"):
+        if getattr(args, knob) is not None:
+            params[knob] = getattr(args.options, knob)
     client = ServiceClient(host=args.host, port=args.port,
                            timeout=args.timeout)
     try:
@@ -589,7 +586,8 @@ def _cmd_trace(args):
     if program is None:
         raise ReproError("workload %r cannot be traced (profile-only)"
                          % args.workload)
-    trace = record_trace(program, preset(args.structure))
+    trace = record_trace(program, preset(args.structure),
+                         engine=args.options.engine)
     fetches, reads, writes = trace.counts()
     print("captured {:,} records ({:,} fetches, {:,} reads, {:,} writes)"
           .format(len(trace), fetches, reads, writes))
@@ -702,7 +700,7 @@ def _diff_flavors(args):
 def _diff_side_label(which, args):
     parts = ["%s profile" % (getattr(args, which + "_profile")
                              or "dynamic")]
-    for knob in ("structure", "engine", "injector"):
+    for knob in ("structure", "engine"):
         value = getattr(args, "%s_%s" % (which, knob))
         if value:
             parts.append("%s=%s" % (knob, value))
@@ -721,8 +719,7 @@ def _diff_fresh_pair(args, thresholds):
             flavor=getattr(args, which + "_profile") or "dynamic",
             structure=getattr(args, which + "_structure")
             or args.structure,
-            engine=getattr(args, which + "_engine"),
-            injector=getattr(args, which + "_injector"))
+            engine=getattr(args, which + "_engine"))
     report.add(args.workload, diff_snapshots(
         sides["a"], sides["b"], a_label=_diff_side_label("a", args),
         b_label=_diff_side_label("b", args), key=args.workload))
@@ -813,11 +810,18 @@ def _cmd_disasm(args):
 
 
 def _add_engine_argument(parser):
-    engine_knob().add_argument(parser)
+    parser.add_argument("--engine", choices=ENGINES, default=None,
+                        help="execution engine (default: REPRO_ENGINE, "
+                             "else auto = fast; results are identical, "
+                             "only speed differs)")
 
 
 def _add_injector_argument(parser):
-    injector_knob().add_argument(parser)
+    parser.add_argument("--injector", choices=INJECTORS, default=None,
+                        help="shard evaluator (default: REPRO_INJECTOR, "
+                             "else auto = batch; batch reproduces "
+                             "trial's counts exactly, only speed "
+                             "differs)")
 
 
 def _add_obs_arguments(parser):
@@ -938,12 +942,8 @@ def build_parser():
                             choices=sorted(STRUCTURES), default=None,
                             help="side %s structure" % side)
         p_diff.add_argument("--%s-engine" % side,
-                            choices=engine_knob().choices, default=None,
+                            choices=ENGINES, default=None,
                             help="side %s execution engine" % side)
-        p_diff.add_argument("--%s-injector" % side,
-                            choices=injector_knob().choices,
-                            default=None,
-                            help="side %s campaign injector" % side)
     p_diff.add_argument("--json", action="store_true",
                         help="print the machine-readable report "
                              "(schema: docs/schemas/"
@@ -1167,6 +1167,15 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The invocation's execution choices, resolved once (flags, then
+    # REPRO_ENGINE/REPRO_INJECTOR, then auto) and passed down from here.
+    try:
+        args.options = RunOptions.resolve(
+            engine=getattr(args, "engine", None),
+            injector=getattr(args, "injector", None))
+    except ReproError as error:
+        print("error: %s" % error, file=sys.stderr)
+        return 1
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
     # 'runs' reads a ledger, and 'serve' hands its --ledger to the
@@ -1180,18 +1189,16 @@ def main(argv=None):
     if ledger_path:
         from .obs.ledger import RunLedger
 
-        ledger = RunLedger(ledger_path)
+        ledger = RunLedger(ledger_path, options=args.options)
         obs.set_ledger(ledger)
-        entry = ledger.begin(
-            "evaluation",
-            knobs={"engine": getattr(args, "engine", None),
-                   "injector": getattr(args, "injector", None)},
-            params=_evaluation_params(args))
+        entry = ledger.begin("evaluation",
+                             params=_evaluation_params(args))
     code = 1
     try:
-        if getattr(args, "engine", None):
-            engine_knob().set_default(args.engine)
-        code = args.func(args)
+        # Artifacts are engine-free, so the shared default context's
+        # memo serves this run; only its new simulations take the engine.
+        with using_context(get_context().with_engine(args.options.engine)):
+            code = args.func(args)
         return code
     except ReproError as error:
         print("error: %s" % error, file=sys.stderr)

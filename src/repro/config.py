@@ -267,104 +267,67 @@ ALL_PRESETS = {
 }
 
 
-# --- execution knobs ---------------------------------------------------------
+# --- run options --------------------------------------------------------------
 
-class ExecutionKnob:
-    """One process-wide execution choice: CLI flag + env var + default.
+#: accepted ``--engine`` values (``auto`` resolves to ``fast``)
+ENGINES = ("reference", "fast", "auto")
+#: accepted ``--injector`` values (``auto`` resolves to ``batch``)
+INJECTORS = ("trial", "batch", "auto")
+ENGINE_ENV = "REPRO_ENGINE"
+INJECTOR_ENV = "REPRO_INJECTOR"
 
-    The engine (``reference|fast|auto``) and injector (``trial|batch|
-    auto``) knobs surface with the same shape everywhere: an argparse
-    flag with fixed choices, an environment variable that fresh worker
-    processes read, a process-wide default, and a typo-rejecting
-    validator.  This class is the single definition that the CLI
-    (``campaign``/``inject``/``serve``/``submit``), the campaign
-    runner, and the job service share instead of keeping per-command
-    copies in sync.  Both knobs are *result-invariant* — they change
-    throughput, never counts — which is why they stay out of artifact
-    keys and job-coalescing keys.
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The execution choices one run actually used, fully resolved.
+
+    ``engine`` is the simulation engine (``reference`` step loop or the
+    predecoded ``fast`` engine of :mod:`repro.sim.fastpath`);
+    ``injector`` is the shard evaluator (``trial`` or the vectorized
+    ``batch`` of :mod:`repro.campaign.batch`).  Both are
+    result-invariant — they change throughput, never counts — which is
+    why they stay out of artifact keys and job-coalescing keys, and
+    why the run ledger records them as knobs beside the results.
+
+    Build it with :meth:`resolve` at the edge (CLI, service, library
+    entry points given ``None``) and pass the fields down explicitly.
     """
 
-    def __init__(self, name, env, choices, resolve, set_default,
-                 help_text):
-        self.name = name
-        self.env = env
-        self.choices = tuple(choices)
-        self._resolve = resolve
-        self._set_default = set_default
-        self.help_text = help_text
+    engine: str
+    injector: str
 
-    @property
-    def flag(self):
-        return "--" + self.name
+    def __post_init__(self):
+        if (self.engine not in ("reference", "fast")
+                or self.injector not in ("trial", "batch")):
+            raise ConfigurationError(
+                "RunOptions holds resolved choices only, got engine=%r "
+                "injector=%r (use RunOptions.resolve)"
+                % (self.engine, self.injector))
 
-    def add_argument(self, parser):
-        """Attach the knob's flag to an argparse parser."""
-        parser.add_argument(self.flag, choices=self.choices, default=None,
-                            help=self.help_text)
+    @classmethod
+    def resolve(cls, engine=None, injector=None):
+        """Validate flag/service values and resolve ``auto``.
 
-    def resolve(self, value):
-        """Validate ``value`` (``None`` passes through untouched)."""
-        if value is None:
-            return None
-        self._resolve(value)  # raises on typos
-        return value
-
-    def set_default(self, value):
-        """Install the process default; returns the previous one."""
-        return self._set_default(value)
-
-    def installed(self, value):
-        """``with knob.installed(value):`` — scoped default + env.
-
-        Sets the process default *and* exports the environment
-        variable (so freshly spawned worker processes inherit the
-        choice), restoring both on exit.  ``value=None`` is a no-op,
-        letting call sites pass optional knobs through unconditionally.
+        A field left as ``None`` is read from ``REPRO_ENGINE`` /
+        ``REPRO_INJECTOR`` (``auto`` when unset).  Typos raise
+        :class:`~repro.errors.ConfigurationError` rather than silently
+        running another engine.  Nothing is cached: every call reads
+        the environment afresh.
         """
-        from contextlib import contextmanager
-
-        @contextmanager
-        def _install():
+        resolved = {}
+        for name, value, env, choices, auto in (
+                ("engine", engine, ENGINE_ENV, ENGINES, "fast"),
+                ("injector", injector, INJECTOR_ENV, INJECTORS, "batch")):
             if value is None:
-                yield
-                return
-            previous = self._set_default(value)
-            environment_before = os.environ.get(self.env)
-            os.environ[self.env] = value
-            try:
-                yield
-            finally:
-                self._set_default(previous)
-                if environment_before is None:
-                    os.environ.pop(self.env, None)
-                else:
-                    os.environ[self.env] = environment_before
-
-        return _install()
-
-
-def engine_knob():
-    """The simulation-engine knob (see :mod:`repro.sim.fastpath`)."""
-    from .sim.fastpath import ENGINE_ENV, ENGINES, resolve_engine, \
-        set_default_engine
-
-    return ExecutionKnob(
-        "engine", ENGINE_ENV, ENGINES, resolve_engine, set_default_engine,
-        help_text="execution engine (default: auto, or REPRO_ENGINE; "
-                  "results are identical, only speed differs)")
-
-
-def injector_knob():
-    """The shard-evaluator knob (see :mod:`repro.campaign.batch`)."""
-    from .campaign.batch import INJECTOR_ENV, INJECTORS, \
-        resolve_injector, set_default_injector
-
-    return ExecutionKnob(
-        "injector", INJECTOR_ENV, INJECTORS, resolve_injector,
-        set_default_injector,
-        help_text="shard evaluator (default: auto, or REPRO_INJECTOR; "
-                  "batch reproduces trial's counts exactly, only speed "
-                  "differs)")
+                value = os.environ.get(env, "").strip().lower() or "auto"
+                origin = "%s=%r" % (env, value)
+            else:
+                origin = "%s %r" % (name, value)
+            if value not in choices:
+                raise ConfigurationError("unknown %s (one of %s)"
+                                         % (origin, "/".join(choices)))
+            resolved[name] = auto if value == "auto" else value
+        return cls(**resolved)
 
 
 def preset(name):

@@ -15,10 +15,10 @@ are the paper's named functions and data objects (plus the synthetic
 resizing, and MDA changes — which is exactly what lets a diff say
 "``Array2`` moved SEC-DED→parity" rather than "digest mismatch".
 
-Execution knobs (engine, injector) are recorded as *provenance* only:
-they are proven result-invariant elsewhere (tests/test_differential.py,
-tests/test_batch_injector.py), so two snapshots that differ only in
-provenance must diff empty — and a test pins that.
+The execution engine is recorded as *provenance* only: engines are
+proven result-invariant elsewhere (tests/test_differential.py), so two
+snapshots that differ only in provenance must diff empty — and a test
+pins that.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class MappingSnapshot:
     blocks: dict = field(default_factory=dict)  # name -> BlockPlacement
     regions: dict = field(default_factory=dict)  # name -> {size,used,...}
     metrics: dict = field(default_factory=dict)  # name -> float
-    provenance: dict = field(default_factory=dict)  # engine/injector/...
+    provenance: dict = field(default_factory=dict)  # engine/...
 
     @property
     def key(self):

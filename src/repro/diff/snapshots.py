@@ -12,10 +12,11 @@ corpus; ``repro golden --update`` refreshes the corpus (guarded
 against dirty ``src/repro/`` trees so a regression cannot be silently
 re-baselined).
 
-Snapshot *computation* accepts engine and injector knobs purely as
-provenance: both are result-invariant by contract, and the
-cross-knob identity tests diff snapshots computed under every
-combination to pin that guarantee at the mapping level.
+Snapshot *computation* accepts an engine knob, recorded as
+provenance: engines are result-invariant by contract, and the
+cross-engine identity test diffs snapshots computed under both to pin
+that guarantee at the mapping level.  No injector is involved: a
+mapping snapshot never runs a campaign.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 
-from ..config import injector_knob
 from ..errors import ReproError
 from ..sim.diffcheck import (
     GOLDEN_CASE_ARRAY_WORDS,
@@ -65,39 +65,33 @@ def snapshot_path(directory, workload, flavor):
 
 def compute_snapshot(workload, flavor="dynamic",
                      structure=GOLDEN_STRUCTURE, engine=None,
-                     injector=None, context=None, thresholds=None):
+                     context=None, thresholds=None):
     """Freshly evaluate one (workload, flavor) pair into a snapshot.
 
     With ``context=None`` the process-wide pipeline context is used
-    when no knobs are given (profiles and plans are then computed once
-    per process); passing an engine or injector builds a *fresh*
-    context so the computation genuinely re-runs under that knob
-    instead of replaying a memoized artifact.
+    when no engine is given (profiles and plans are then computed once
+    per process); passing an engine builds a *fresh* context so the
+    computation genuinely re-runs under it instead of replaying a
+    memoized artifact.
     """
     from ..pipeline import EvaluationContext, get_context
 
     if context is None:
-        if engine is None and injector is None:
-            context = get_context()
-        else:
-            context = EvaluationContext(engine=engine)
-    with injector_knob().installed(injector):
-        program, profile = context.resolve_workload(
-            workload, array_words=GOLDEN_CASE_ARRAY_WORDS,
-            outer_iterations=GOLDEN_CASE_OUTER_ITERATIONS,
-            profile_flavor=flavor)
-        if program is None and flavor == "static":
-            raise ReproError(
-                "workload %r has no program; static snapshots need one"
-                % workload)
-        payload = context.mapping_snapshot(profile, structure,
-                                           thresholds=thresholds)
+        context = (get_context() if engine is None
+                   else EvaluationContext(engine=engine))
+    program, profile = context.resolve_workload(
+        workload, array_words=GOLDEN_CASE_ARRAY_WORDS,
+        outer_iterations=GOLDEN_CASE_OUTER_ITERATIONS,
+        profile_flavor=flavor)
+    if program is None and flavor == "static":
+        raise ReproError(
+            "workload %r has no program; static snapshots need one"
+            % workload)
+    payload = context.mapping_snapshot(profile, structure,
+                                       thresholds=thresholds)
     snapshot = MappingSnapshot.from_dict(payload)
     snapshot.workload = workload  # CLI spec, not profile.source_name
-    snapshot.provenance = {
-        "engine": engine or "default",
-        "injector": injector or "default",
-    }
+    snapshot.provenance = {"engine": engine or "default"}
     return snapshot
 
 
@@ -142,8 +136,7 @@ def write_mapping_golden(directory, names=None, flavors=None,
 
 
 def check_mapping_golden(directory, names=None, flavors=None,
-                         thresholds=None, context=None, engine=None,
-                         injector=None):
+                         thresholds=None, context=None, engine=None):
     """Diff freshly computed mappings against the corpus in
     ``directory`` (``tests/golden/mappings`` in the committed tree).
 
@@ -156,10 +149,9 @@ def check_mapping_golden(directory, names=None, flavors=None,
 
     report = DiffSetReport(thresholds=thresholds or DiffThresholds())
     shared_context = context
-    if shared_context is None and (engine is not None
-                                   or injector is not None):
-        # One fresh context for the whole sweep, so the knob is honoured
-        # without recomputing shared profiles once per corpus entry.
+    if shared_context is None and engine is not None:
+        # One fresh context for the whole sweep, so the engine is
+        # honoured without recomputing shared profiles once per entry.
         shared_context = EvaluationContext(engine=engine)
     for workload, flavor in snapshot_names(names, flavors):
         key = "%s/%s" % (workload, flavor)
@@ -167,8 +159,7 @@ def check_mapping_golden(directory, names=None, flavors=None,
         try:
             committed = load_snapshot(path)
             current = compute_snapshot(
-                workload, flavor, context=shared_context, engine=engine,
-                injector=injector)
+                workload, flavor, context=shared_context, engine=engine)
         except ReproError as error:
             report.add_problem(key, str(error))
             continue

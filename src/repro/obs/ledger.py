@@ -71,8 +71,10 @@ RUN_LEDGER_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "engine": {"type": ["string", "null"]},
-                "injector": {"type": ["string", "null"]},
+                "engine": {"type": "string",
+                           "enum": ["reference", "fast"]},
+                "injector": {"type": "string",
+                             "enum": ["trial", "batch"]},
             },
         },
         "cache": {
@@ -202,11 +204,19 @@ class RunLedger:
     default to the stdlib functions as uncalled references and are
     only ever called here, inside ``repro.obs`` — see the module
     docstring for why that keeps devlint clean.
+
+    ``options`` is the :class:`~repro.config.RunOptions` the process
+    resolved at its edge (CLI or service); its fields seed every
+    record's knobs, so a campaign record names the engine its profile
+    ran under even though the campaign layer never simulates.
     """
 
     def __init__(self, path, clock=time.time, perf=time.perf_counter,
-                 cpu=time.process_time, repo=None):
+                 cpu=time.process_time, repo=None, options=None):
         self.path = path
+        self._knobs = ({"engine": options.engine,
+                        "injector": options.injector}
+                       if options is not None else {})
         self._clock = clock
         self._perf = perf
         self._cpu = cpu
@@ -220,7 +230,8 @@ class RunLedger:
         """Open a run record; returns the entry :meth:`finish` closes.
 
         ``key`` is the run's content-hash identity (job key, campaign
-        fingerprint); ``knobs`` the engine/injector choices; ``params``
+        fingerprint); ``knobs`` the engine/injector choices, layered
+        over the ledger's ``options``; ``params``
         the run's own configuration; ``sampling`` the campaign seed
         discipline (campaigns only).
         """
@@ -235,7 +246,7 @@ class RunLedger:
             run_id="r-%s" % digest[:12],
             kind=kind,
             key=key,
-            knobs=dict(knobs) if knobs else {},
+            knobs=dict(self._knobs, **(knobs or {})),
             params=dict(params) if params else {},
             sampling=sampling,
             started_at=started_at,
@@ -266,8 +277,7 @@ class RunLedger:
             "wall_s": round(max(0.0, self._perf() - entry._t0), 6),
             "cpu_s": round(max(0.0, self._cpu() - entry._cpu0), 6),
             "status": status,
-            "knobs": {"engine": entry.knobs.get("engine"),
-                      "injector": entry.knobs.get("injector")},
+            "knobs": entry.knobs,
             "cache": {
                 "hits": cache1["hits"] - entry._cache0["hits"],
                 "misses": cache1["misses"] - entry._cache0["misses"],

@@ -21,6 +21,7 @@ walls, which is what makes the one-shot report a single-pass pipeline.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from .. import obs
@@ -75,7 +76,7 @@ class EvaluationContext:
             store = ArtifactStore(store)
         self.store = store
         #: execution engine for every simulation this context runs
-        #: (None defers to the process default).  Deliberately absent
+        #: (None resolves through RunOptions).  Deliberately absent
         #: from artifact keys: engines produce byte-identical results
         #: (enforced by tests/test_differential.py), so artifacts are
         #: interchangeable across engines and cache hits cross over.
@@ -130,6 +131,17 @@ class EvaluationContext:
         self._memo.update(other._memo)
         self._fingerprints.update(other._fingerprints)
         return self
+
+    def with_engine(self, engine):
+        """A view of this context that simulates under ``engine``.
+
+        Artifacts are engine-free, so the view shares this context's
+        memo, store and counters; only the simulations it runs from
+        now on see the engine.
+        """
+        view = copy.copy(self)
+        view.engine = engine
+        return view
 
     def _fingerprint_of(self, obj, compute):
         """Content fingerprint, cached per live object identity.

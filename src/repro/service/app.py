@@ -35,9 +35,10 @@ from ..campaign import (
     CampaignSpec,
     ShardScheduler,
     analytic_vulnerability,
+    resolve_injector,
 )
 from ..campaign.seeding import SAMPLING_DISCIPLINE
-from ..config import engine_knob, injector_knob
+from ..config import RunOptions
 from ..core.priorities import OptimizationMode, thresholds_for_mode
 from ..errors import ReproError
 from ..eval.structures import STRUCTURES
@@ -131,11 +132,11 @@ def _validate_choices(kind, params):
     flavor = params.get("profile")
     if flavor is not None and flavor not in ("dynamic", "static"):
         raise HttpError(400, "profile must be 'dynamic' or 'static'")
-    for knob in (engine_knob(), injector_knob()):
-        value = params.get(knob.name)
+    for knob in ("engine", "injector"):
+        value = params.get(knob)
         if value is not None:
             try:
-                knob.resolve(value)
+                RunOptions.resolve(**{knob: value})
             except ReproError as error:
                 raise HttpError(400, str(error)) from None
     for positive in ("trials", "shard_size", "array_words", "scale"):
@@ -167,7 +168,12 @@ class ReproService:
     def __init__(self, host="127.0.0.1", port=0, workers=2,
                  job_threads=8, cache_dir=None, engine=None,
                  injector=None, clock=None, ledger_path=None):
-        self.context = EvaluationContext(store=cache_dir, engine=engine)
+        #: the service's resolved defaults: every job profiles under
+        #: ``options.engine``; campaign jobs without an ``injector``
+        #: parameter run ``options.injector``.
+        self.options = RunOptions.resolve(engine=engine, injector=injector)
+        self.context = EvaluationContext(store=cache_dir,
+                                         engine=self.options.engine)
         # ``clock`` stamps job timestamps; inject a fake in tests to
         # pin submitted_at/finished_at in status responses.
         self.registry = JobRegistry(clock=clock)
@@ -177,14 +183,13 @@ class ReproService:
         if ledger_path:
             from ..obs.ledger import RunLedger
 
-            self.ledger = (RunLedger(ledger_path, clock=clock)
-                           if clock is not None
-                           else RunLedger(ledger_path))
+            self.ledger = (
+                RunLedger(ledger_path, clock=clock, options=self.options)
+                if clock is not None
+                else RunLedger(ledger_path, options=self.options))
         self.coalescer = Coalescer()
         self.scheduler = ShardScheduler(workers=workers)
         self.server = HttpServer(self._handle, host=host, port=port)
-        self.engine = engine_knob().resolve(engine)
-        self.injector = injector_knob().resolve(injector)
         self._executor = ThreadPoolExecutor(
             max_workers=job_threads, thread_name_prefix="repro-job")
         self._results = {}  # key -> result (in-memory artifact tier)
@@ -392,9 +397,7 @@ class ReproService:
         if self.ledger is not None:
             entry = self.ledger.begin(
                 "service-job", key=job.key,
-                knobs={"engine": job.params.get("engine") or self.engine,
-                       "injector": (job.params.get("injector")
-                                    or self.injector)},
+                knobs={"injector": self._injector_for(job.params)},
                 params=dict(job.params, job=job.id, job_kind=job.kind))
         with obs.span("service.job", category="service",
                       attrs={"kind": job.kind, "key": job.key[:12]}):
@@ -490,6 +493,14 @@ class ReproService:
                                 or ()),
         }
 
+    def _injector_for(self, params):
+        """The evaluator a job runs: its own ``injector`` parameter,
+        else the service default.  A job's ``engine`` parameter is
+        validated but unused — campaigns never simulate; the profile
+        they sample comes from the service context's engine."""
+        return resolve_injector(params.get("injector")
+                                or self.options.injector)
+
     def _compute_campaign(self, job):
         params = job.params
         _, profile = self.context.resolve_workload(
@@ -510,8 +521,7 @@ class ReproService:
 
         runner = CampaignRunner(
             spec, max_retries=params["retries"],
-            engine=params.get("engine") or self.engine,
-            injector=params.get("injector") or self.injector,
+            injector=self._injector_for(params),
             progress=progress, scheduler=self.scheduler)
         summary = runner.run()
         interval = summary.interval("harmful")

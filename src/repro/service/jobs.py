@@ -147,12 +147,14 @@ class JobRegistry:
         return primary
 
     def status_of(self, job):
-        """Status projection with coalesced state/progress folded in."""
+        """Status projection with the primary's state, progress, error
+        and completion time folded in."""
         primary = self.resolve(job)
         payload = job.to_status()
         if primary is not job:
             upstream = primary.to_status()
             payload["state"] = upstream["state"]
+            payload["finished_at"] = upstream["finished_at"]
             if "progress" in upstream:
                 payload["progress"] = upstream["progress"]
             if "error" in upstream:

@@ -6,8 +6,8 @@
 transfer schedule (the online mapping phase) into a runnable platform.
 """
 
+from ..config import ENGINES
 from .cpu import Cpu, CpuState, ExecStats
-from .fastpath import ENGINES, default_engine, resolve_engine, set_default_engine
 from .machine import EXIT_ADDRESS, Machine, RunResult, TransferAction, TransferSchedule
 
 __all__ = [
@@ -20,7 +20,4 @@ __all__ = [
     "RunResult",
     "TransferAction",
     "TransferSchedule",
-    "default_engine",
-    "resolve_engine",
-    "set_default_engine",
 ]

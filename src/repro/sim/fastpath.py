@@ -46,13 +46,7 @@ mask them.
 
 from __future__ import annotations
 
-import os
-
-from ..errors import (
-    ConfigurationError,
-    ExecutionLimitExceeded,
-    IllegalInstructionError,
-)
+from ..errors import ExecutionLimitExceeded, IllegalInstructionError
 from ..isa.instructions import (
     INSTRUCTION_BYTES,
     Condition,
@@ -66,53 +60,6 @@ from .machine import EXIT_ADDRESS
 
 _BIT31 = 0x8000_0000
 _MASK33 = 0x1_FFFF_FFFF
-
-#: valid values of the engine knob
-ENGINES = ("reference", "fast", "auto")
-
-#: environment override for the process-wide default engine
-ENGINE_ENV = "REPRO_ENGINE"
-
-_default_engine = None
-
-
-def default_engine():
-    """The process-wide default engine (``auto`` unless overridden).
-
-    Honours the ``REPRO_ENGINE`` environment variable on first use; an
-    unknown value raises immediately rather than silently running the
-    wrong engine.
-    """
-    global _default_engine
-    if _default_engine is None:
-        value = os.environ.get(ENGINE_ENV, "").strip().lower() or "auto"
-        if value not in ENGINES:
-            raise ConfigurationError(
-                "%s=%r is not one of %s" % (ENGINE_ENV, value,
-                                            "/".join(ENGINES)))
-        _default_engine = value
-    return _default_engine
-
-
-def set_default_engine(name):
-    """Install a new default engine; returns the previous default."""
-    global _default_engine
-    if name not in ENGINES:
-        raise ConfigurationError(
-            "unknown engine %r (one of %s)" % (name, "/".join(ENGINES)))
-    previous = default_engine()
-    _default_engine = name
-    return previous
-
-
-def resolve_engine(choice):
-    """Normalise an engine choice (None means the process default)."""
-    if choice is None:
-        return default_engine()
-    if choice not in ENGINES:
-        raise ConfigurationError(
-            "unknown engine %r (one of %s)" % (choice, "/".join(ENGINES)))
-    return choice
 
 
 # --- basic blocks -------------------------------------------------------------

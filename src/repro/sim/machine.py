@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .. import obs
+from ..config import RunOptions
 from ..errors import ExecutionLimitExceeded, IllegalInstructionError
 from ..isa.instructions import INSTRUCTION_BYTES
 from ..mem.dma import DmaEngine
@@ -102,20 +103,20 @@ class Machine:
     """A complete simulated platform executing one program.
 
     ``engine`` selects the execution engine for :meth:`run`:
-    ``"reference"`` is the per-cycle step loop below, ``"fast"`` and
-    ``"auto"`` use the predecoded basic-block engine
+    ``"reference"`` is the per-cycle step loop below, ``"fast"`` (and
+    ``"auto"``) the predecoded basic-block engine
     (:class:`~repro.sim.fastpath.FastEngine`), which produces
     byte-identical results and falls back to the reference loop
-    wherever exact per-cycle interleaving matters.  ``None`` defers to
-    the process default (:func:`~repro.sim.fastpath.default_engine`,
-    i.e. ``auto`` unless ``REPRO_ENGINE`` overrides it).
+    wherever exact per-cycle interleaving matters.  ``None`` resolves
+    through :meth:`~repro.config.RunOptions.resolve` (``REPRO_ENGINE``,
+    else ``fast``).
     """
 
     def __init__(self, program, config, energy_models=None, schedule=None,
                  engine=None):
         self.program = program
         self.config = config
-        self.engine = engine
+        self.engine = RunOptions.resolve(engine=engine).engine
         self.memory = MemorySystem(config, energy_models)
         self.dma = DmaEngine(self.memory)
         self.schedule = schedule or TransferSchedule()
@@ -264,8 +265,7 @@ class Machine:
         attribution (forcing the fast engine into its granular mode).
         Disabled, the cost is this one flag check — nothing per event.
         """
-        from .fastpath import resolve_engine
-        engine = resolve_engine(self.engine)
+        engine = self.engine
         if apply_schedule:
             self.apply_static_schedule()
         cpu = self.cpu

@@ -169,10 +169,11 @@ class TraceRecorder(EventSubscriber):
             self.trace.append(TraceRecord("R", event.address, event.size))
 
 
-def record_trace(program, config, schedule=None, max_instructions=None):
+def record_trace(program, config, schedule=None, max_instructions=None,
+                 engine=None):
     """Run a program once and return its access trace."""
     from ..sim.machine import Machine
-    machine = Machine(program, config, schedule=schedule)
+    machine = Machine(program, config, schedule=schedule, engine=engine)
     recorder = TraceRecorder(machine).attach()
     if max_instructions is None:
         machine.run()

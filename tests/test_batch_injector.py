@@ -3,7 +3,7 @@
 The hard guarantees under test:
 
 * the ``trial``/``batch``/``auto`` knob mirrors the engine knob
-  (process default, ``REPRO_INJECTOR``, ``--injector``),
+  (``--injector``, ``REPRO_INJECTOR``, resolved by ``RunOptions``),
 * the canonical sampler is deterministic and its clusters are
   well-formed (distinct positions inside the ``m + 2`` window),
 * the closed-form batch classifier matches the *real* codecs
@@ -30,9 +30,7 @@ from repro.campaign import (
     CampaignRunner,
     CampaignSpec,
     RunDirectory,
-    effective_injector,
     resolve_injector,
-    set_default_injector,
 )
 from repro.campaign.batch import run_shard
 from repro.campaign.batch.classify import (
@@ -87,7 +85,7 @@ def outcome(spec, injector):
 
 # --- the injector knob -------------------------------------------------------
 
-def test_knob_values_mirror_engine_knob():
+def test_knob_values_match_the_cli_flag():
     assert INJECTORS == ("trial", "batch", "auto")
     assert batch_knob.INJECTOR_ENV == "REPRO_INJECTOR"
 
@@ -101,31 +99,6 @@ def test_resolve_injector_accepts_known_and_none():
 def test_resolve_injector_rejects_unknown():
     with pytest.raises(ConfigurationError):
         resolve_injector("warp")
-
-
-def test_set_default_injector_roundtrip():
-    previous = set_default_injector("trial")
-    try:
-        assert resolve_injector(None) == "trial"
-        assert effective_injector(None) == "trial"
-    finally:
-        set_default_injector(previous)
-
-
-def test_environment_default(monkeypatch):
-    monkeypatch.setattr(batch_knob, "_default_injector", None)
-    monkeypatch.setenv(batch_knob.INJECTOR_ENV, "batch")
-    assert batch_knob.default_injector() == "batch"
-    monkeypatch.setattr(batch_knob, "_default_injector", None)
-    monkeypatch.setenv(batch_knob.INJECTOR_ENV, "bogus")
-    with pytest.raises(ConfigurationError):
-        batch_knob.default_injector()
-    monkeypatch.setattr(batch_knob, "_default_injector", None)
-
-
-def test_auto_resolves_to_batch_with_numpy():
-    # numpy is importable in the test environment, so auto => batch
-    assert effective_injector("auto") == "batch"
 
 
 def test_build_injector_classes():

@@ -355,11 +355,11 @@ def test_transient_failure_is_retried(sha_spec, sha_reference,
     real = runner_module._execute_shard
     calls = {"failed": 0}
 
-    def flaky(spec, index):
+    def flaky(spec, index, injector=None):
         if index == 2 and calls["failed"] == 0:
             calls["failed"] += 1
             raise RuntimeError("transient worker death")
-        return real(spec, index)
+        return real(spec, index, injector=injector)
 
     monkeypatch.setattr(runner_module, "_execute_shard", flaky)
     summary = CampaignRunner(sha_spec, jobs=1, max_retries=2).run()

@@ -108,6 +108,33 @@ def test_schema_rejects_bad_records(tmp_path):
             validate_record(bad)
 
 
+@pytest.mark.parametrize("knobs", [{"engine": None},
+                                   {"engine": "auto"},
+                                   {"injector": None},
+                                   {"injector": "auto"},
+                                   {"engine": "fast", "injector": "warp"}])
+def test_schema_rejects_unresolved_knobs(tmp_path, knobs):
+    ledger = _fake_ledger(tmp_path / "ledger.jsonl")
+    with pytest.raises(LedgerError):
+        ledger.finish(ledger.begin("evaluation", knobs=knobs))
+    assert ledger.read() == []
+
+
+def test_ledger_options_seed_every_record(tmp_path):
+    from repro.config import RunOptions
+
+    clocks = FakeClocks()
+    ledger = RunLedger(str(tmp_path / "ledger.jsonl"), clock=clocks.clock,
+                       perf=clocks.perf, cpu=clocks.cpu, repo="test-repo",
+                       options=RunOptions(engine="reference",
+                                          injector="batch"))
+    plain = ledger.finish(ledger.begin("evaluation"))
+    layered = ledger.finish(ledger.begin("campaign",
+                                         knobs={"injector": "trial"}))
+    assert plain["knobs"] == {"engine": "reference", "injector": "batch"}
+    assert layered["knobs"] == {"engine": "reference", "injector": "trial"}
+
+
 def test_injected_clocks_make_records_byte_stable(tmp_path):
     paths = (tmp_path / "a.jsonl", tmp_path / "b.jsonl")
     for path in paths:
@@ -423,6 +450,60 @@ def test_cli_ledger_flag_records_evaluation(tmp_path, capsys):
     assert evaluation["params"]["command"] == "campaign"
     assert evaluation["params"]["trials"] == 600
     assert not obs.enabled()  # main() resets the layer on the way out
+
+
+def test_cli_campaign_ledger_records_effective_options(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+    monkeypatch.delenv("REPRO_INJECTOR", raising=False)
+    path = str(tmp_path / "cli.jsonl")
+    assert cli.main(["campaign", "case", "--trials", "20000",
+                     "--no-progress", "--ledger", path]) == 0
+    capsys.readouterr()
+    records = RunLedger(path).read()
+    assert sorted(r["kind"] for r in records) == ["campaign", "evaluation"]
+    for record in records:
+        assert record["knobs"] == {"engine": "fast", "injector": "batch"}
+
+
+def test_cli_ledger_records_explicit_flags(tmp_path, capsys):
+    path = str(tmp_path / "cli.jsonl")
+    assert cli.main(["campaign", "sha", "--trials", "600",
+                     "--shard-size", "200", "--no-progress",
+                     "--engine", "reference", "--injector", "trial",
+                     "--ledger", path]) == 0
+    capsys.readouterr()
+    for record in RunLedger(path).read():
+        assert record["knobs"] == {"engine": "reference",
+                                   "injector": "trial"}
+
+
+def test_service_campaign_job_records_context_engine(tmp_path):
+    from repro.service.app import ReproService, job_key, normalize_params
+
+    path = tmp_path / "service.jsonl"
+    service = ReproService(port=0, workers=1, engine="reference",
+                           ledger_path=str(path))
+    params = normalize_params("campaign", {
+        "workload": "qsort", "trials": 600, "shard_size": 300,
+        "engine": "fast", "injector": "auto"})
+    job = service.registry.create("campaign", params,
+                                  job_key("campaign", params))
+    obs.set_ledger(service.ledger)
+    try:
+        service._run_job(job)
+    finally:
+        obs.set_ledger(None)
+        service.scheduler.close()
+    assert job.state == "done", job.error
+    records = service.ledger.read()
+    assert sorted(r["kind"] for r in records) == ["campaign",
+                                                  "service-job"]
+    for record in records:
+        # the job's engine parameter is accepted but the profile came
+        # from the service context, which simulates under "reference"
+        assert record["knobs"] == {"engine": "reference",
+                                   "injector": "batch"}
 
 
 # --- service /v1/runs ---------------------------------------------------------

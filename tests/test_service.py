@@ -228,3 +228,20 @@ def test_submit_param_normalization_keys():
                                                 dict(workload="sha")))
             != job_key("lint", normalize_params("lint",
                                                 dict(workload="sha"))))
+
+
+def test_coalesced_job_reports_primary_finished_at():
+    from repro.service.jobs import JobRegistry, JobState
+
+    ticks = iter([10.0, 11.0, 12.5])
+    registry = JobRegistry(clock=lambda: next(ticks))
+    primary = registry.create("campaign", dict(CAMPAIGN), "k")
+    follower = registry.create("campaign", dict(CAMPAIGN), "k")
+    follower.coalesced_with = primary.id
+    follower.coalesced_from = "inflight"
+    assert registry.status_of(follower)["finished_at"] is None
+    primary.mark_done({"counts": {}})
+    status = registry.status_of(follower)
+    assert status["state"] == JobState.DONE
+    assert status["finished_at"] == primary.finished_at == 12.5
+    assert status["submitted_at"] == 11.0  # its own submission time
