@@ -1,8 +1,7 @@
 """Campaign orchestration: parallel, resumable Monte-Carlo injection.
 
-Where :class:`repro.faults.InjectionCampaign` runs trials serially in
-one process, this package scales the same measurement to statistical-
-quality trial counts:
+This package scales the Monte-Carlo vulnerability measurement to
+statistical-quality trial counts:
 
 * **sharding** — the trial budget splits into fixed-size shards, each
   seeded deterministically from (campaign seed, shard index), so the
@@ -18,14 +17,13 @@ quality trial counts:
   intervals, closing the loop against the analytic Fig. 5 values,
 * **vectorized evaluation** — the :mod:`~repro.campaign.batch`
   subsystem classifies a shard's sampled strikes in whole-array NumPy
-  passes (``--injector batch``), reproducing the per-trial evaluator's
-  counts exactly at an order of magnitude more trials per second.
+  passes, reproducing the per-trial real-codec oracle's counts exactly
+  at an order of magnitude more trials per second.
 
 See ``docs/campaigns.md`` for the architecture and the checkpoint
 format, and ``examples/campaign_parallel.py`` for a worked example.
 """
 
-from .batch import INJECTOR_ENV, INJECTORS, resolve_injector
 from .checkpoint import RunDirectory
 from .executor import execute_shard, shard_worker
 from .progress import ProgressEvent, ProgressPrinter
@@ -53,8 +51,6 @@ __all__ = [
     "ConfidenceInterval",
     "DEFAULT_MAX_RETRIES",
     "DEFAULT_SHARD_SIZE",
-    "INJECTOR_ENV",
-    "INJECTORS",
     "ProgressEvent",
     "ProgressPrinter",
     "RunDirectory",
@@ -66,7 +62,6 @@ __all__ = [
     "analytic_vulnerability",
     "drain_on_signals",
     "execute_shard",
-    "resolve_injector",
     "shard_worker",
     "spawn_seed",
     "spawn_seeds",

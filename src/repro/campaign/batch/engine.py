@@ -9,12 +9,14 @@ of :mod:`~repro.campaign.batch.classify`, with fault-free trials
 (empty / immune / dead-window strikes) fast-forwarded by boolean masks
 instead of being visited at all.
 
-Both evaluators expose ``run(trials) -> CampaignResult`` — the same
-interface as the classic :class:`~repro.faults.InjectionCampaign` — and
-are interchangeable inside :class:`~repro.campaign.CampaignRunner`
-shards.  Same spec, same shard, same seed => identical counts, by
-construction (shared sampler) and by proof (classifier equivalence,
-locked by tests and the golden campaign corpus).
+Both evaluators expose ``run(trials) -> CampaignResult``.  Every
+:class:`~repro.campaign.CampaignRunner` shard runs
+:class:`BatchInjector`; :class:`TrialInjector` is the oracle that the
+equivalence harness, the tests, and the benchmarks construct directly
+as ``TrialInjector(spec, shard_index)``.  Same spec, same shard, same
+seed => identical counts, by construction (shared sampler) and by proof
+(classifier equivalence, locked by tests and the golden campaign
+corpus).
 """
 
 from __future__ import annotations
@@ -51,17 +53,17 @@ class _ShardEvaluator:
             trials = self.spec.shard_trials(self.shard_index)
         with obs.span("campaign.shard.evaluate", category="campaign",
                       attrs={"shard": self.shard_index,
-                             "injector": self.name,
+                             "evaluator": self.name,
                              "trials": trials}):
             result = self._run(int(trials))
         obs.inc("campaign_injector_trials_total", result.trials,
-                help="trials evaluated, by injector",
-                injector=self.name)
+                help="trials evaluated, by evaluator",
+                evaluator=self.name)
         fast_forwarded = (result.benign_empty + result.benign_immune
                           + result.benign_dead)
         obs.inc("campaign_fastforward_trials_total", fast_forwarded,
                 help="trials classified without codec work",
-                injector=self.name)
+                evaluator=self.name)
         return result
 
 

@@ -23,7 +23,7 @@ from ...sim.diffcheck import (DiffReport, GOLDEN_CASE_ARRAY_WORDS,
                               GOLDEN_CASE_OUTER_ITERATIONS,
                               GOLDEN_STRUCTURE, golden_names)
 from ..spec import CampaignSpec
-from . import run_shard
+from .engine import BatchInjector, TrialInjector
 
 #: bump when the campaign digest layout or sampling discipline changes
 CAMPAIGN_GOLDEN_SCHEMA = 1
@@ -36,8 +36,9 @@ GOLDEN_TRIALS = 6_000
 GOLDEN_SHARD_SIZE = 2_000
 GOLDEN_SEED = 0xF7F7
 
-#: the injectors the corpus pins (both must reproduce the same counts)
-GOLDEN_INJECTORS = ("trial", "batch")
+#: both shard evaluators, oracle first: the corpus pins both (they must
+#: reproduce the same counts) and the tests run campaign checks under each
+EVALUATORS = (TrialInjector, BatchInjector)
 
 
 def campaign_digest(result):
@@ -47,20 +48,22 @@ def campaign_digest(result):
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def campaign_outcome(spec, injector):
-    """Run every shard of ``spec`` serially; returns the merged result."""
+def campaign_outcome(spec, evaluator):
+    """Run every shard of ``spec`` serially under the ``evaluator``
+    class (:class:`TrialInjector` or :class:`BatchInjector`); returns
+    the merged result."""
     from ...faults.injector import CampaignResult
 
     total = CampaignResult()
     for index in range(spec.shard_count):
-        total = total.merge(run_shard(spec, index, injector=injector))
+        total = total.merge(evaluator(spec, index).run())
     return total
 
 
 def compare_injectors(spec):
     """Run both evaluators over one spec and diff the result dicts."""
-    trial = campaign_outcome(spec, "trial")
-    batch = campaign_outcome(spec, "batch")
+    trial = campaign_outcome(spec, TrialInjector)
+    batch = campaign_outcome(spec, BatchInjector)
     return DiffReport(trial.to_dict(), batch.to_dict(),
                       labels=("trial", "batch"))
 
@@ -94,10 +97,10 @@ def golden_campaign_spec(name, structure=GOLDEN_STRUCTURE):
         seed=GOLDEN_SEED, shard_size=GOLDEN_SHARD_SIZE)
 
 
-def golden_campaign_entry(name, injector="trial"):
-    """Current counts + digest for one corpus entry."""
+def golden_campaign_entry(name):
+    """Current counts + digest for one corpus entry (the oracle's)."""
     spec = golden_campaign_spec(name)
-    result = campaign_outcome(spec, injector)
+    result = campaign_outcome(spec, TrialInjector)
     return {
         "workload": name,
         "structure": GOLDEN_STRUCTURE,
@@ -115,7 +118,7 @@ def write_campaign_golden(directory, names=None):
     os.makedirs(directory, exist_ok=True)
     entries = {}
     for name in names or golden_campaign_names():
-        entries[name] = golden_campaign_entry(name, injector="trial")
+        entries[name] = golden_campaign_entry(name)
     payload = {
         "schema": CAMPAIGN_GOLDEN_SCHEMA,
         "structure": GOLDEN_STRUCTURE,
@@ -132,10 +135,10 @@ def write_campaign_golden(directory, names=None):
 
 
 def check_campaign_golden(directory, names=None,
-                          injectors=GOLDEN_INJECTORS):
+                          evaluators=EVALUATORS):
     """Compare both evaluators against the committed corpus.
 
-    Returns ``{"name/injector": problem}`` — empty means every injector
+    Returns ``{"name/evaluator": problem}`` — empty means every evaluator
     reproduces every committed count exactly.  A missing or
     schema-mismatched corpus is reported as its own problem so the test
     failure says exactly what to regenerate (``repro golden --update``).
@@ -159,10 +162,11 @@ def check_campaign_golden(directory, names=None,
                               "repro golden --update")
             continue
         spec = golden_campaign_spec(name)
-        for injector in injectors:
-            result = campaign_outcome(spec, injector)
+        for evaluator in evaluators:
+            result = campaign_outcome(spec, evaluator)
             if campaign_digest(result) != entry["digest"]:
                 report = DiffReport(entry["result"], result.to_dict(),
-                                    labels=("committed", injector))
-                problems["%s/%s" % (name, injector)] = report.explain()
+                                    labels=("committed", evaluator.name))
+                key = "%s/%s" % (name, evaluator.name)
+                problems[key] = report.explain()
     return problems

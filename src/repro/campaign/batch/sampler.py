@@ -1,9 +1,9 @@
 """Canonical vectorized draw discipline for campaign shards.
 
-Both shard evaluators — the per-trial :class:`~repro.campaign.batch.
-engine.TrialInjector` and the vectorized :class:`~repro.campaign.batch.
-engine.BatchInjector` — consume the *same* sampled strike stream, drawn
-here from one PCG64 generator seeded with the shard seed.  That is the
+Both shard evaluators of :mod:`repro.campaign.batch.engine` — the
+per-trial real-codec oracle and the vectorized ``BatchInjector`` —
+consume the *same* sampled strike stream, drawn here from one PCG64
+generator seeded with the shard seed.  That is the
 whole equivalence story: the engines cannot diverge on what was
 sampled, only on how it is classified, and the classifiers are proven
 equal separately.

@@ -5,13 +5,12 @@ This module is the only code a worker process runs: given a picklable
 that shard's trials and return the serialized result.  Everything else
 — which pool the work lands on, stealing, retries, checkpoints — lives
 in the scheduler and runner layers, so the same entry point serves the
-classic ``repro campaign`` CLI and the long-lived job service.
+``repro campaign`` CLI and the long-lived job service.
 
-The shard evaluator (``trial``/``batch``) travels *per task* as a
-resolved name, because a persistent pool's workers outlive any one
-job: two concurrent jobs with different injectors never share state.
-Results are injector-invariant by the batch-equivalence contract, so
-the choice changes throughput only.
+Every shard runs the vectorized
+:class:`~repro.campaign.batch.engine.BatchInjector`; the per-trial
+real-codec oracle beside it is for tests only and is never reachable
+from here.
 """
 
 from __future__ import annotations
@@ -58,21 +57,18 @@ def _maybe_die(index):
     os._exit(1)  # simulate an OOM-kill/segfault: no cleanup, no excuse
 
 
-def execute_shard(spec, index, injector=None):
-    """Run one shard to a :class:`CampaignResult` in this process.
+def execute_shard(spec, index):
+    """Run one shard to a :class:`CampaignResult` in this process."""
+    from .batch.engine import BatchInjector
 
-    ``injector`` names the shard evaluator (``None`` resolves through
-    :class:`~repro.config.RunOptions`).
-    """
     if index in _injected_failures():
         raise CampaignError(
             "injected failure for shard %d (%s)" % (index, FAIL_SHARDS_ENV))
     _maybe_die(index)
-    evaluator = spec.build_injector(index, injector=injector)
-    return evaluator.run(trials=spec.shard_trials(index))
+    return BatchInjector(spec, index).run(trials=spec.shard_trials(index))
 
 
-def shard_worker(spec, index, injector=None, trace_ctx=None):
+def shard_worker(spec, index, trace_ctx=None):
     """Pool entry point: ``(index, result_dict, elapsed, spans)``.
 
     ``trace_ctx`` is the parent's serialized span context (see
@@ -88,6 +84,6 @@ def shard_worker(spec, index, injector=None, trace_ctx=None):
                       attrs={"shard": index,
                              "trials": spec.shard_trials(index),
                              "seed": spec.shard_seed(index)}):
-            result = execute_shard(spec, index, injector=injector)
+            result = execute_shard(spec, index)
     return (index, result.to_dict(), time.perf_counter() - start,
             collector.records)

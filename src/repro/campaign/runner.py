@@ -38,7 +38,6 @@ from ..errors import CampaignError
 from ..eval.tables import render_table
 from ..faults.injector import CampaignResult
 from ..obs import context as obs_context
-from .batch import resolve_injector
 from .checkpoint import RunDirectory
 from .executor import FAIL_SHARDS_ENV  # noqa: F401  (re-export: test hook)
 from .executor import execute_shard as _execute_shard
@@ -108,7 +107,6 @@ class CampaignSummary:
     elapsed: float = 0.0
     jobs: int = 1
     fresh_trials: int = 0
-    injector: Optional[str] = None  # the shard evaluator that ran
     drained: bool = False  # stopped early by a graceful drain
 
     @property
@@ -201,7 +199,7 @@ class CampaignRunner:
 
     def __init__(self, spec, jobs=1, run_dir=None, resume=False,
                  max_retries=DEFAULT_MAX_RETRIES, progress=None,
-                 injector=None, scheduler=None):
+                 scheduler=None):
         if jobs < 1:
             raise CampaignError("jobs must be >= 1, got %r" % (jobs,))
         if max_retries < 0:
@@ -215,11 +213,6 @@ class CampaignRunner:
         self.resume = resume
         self.max_retries = max_retries
         self.progress = progress
-        #: shard evaluator, resolved (``trial``/``batch``; ``None`` and
-        #: ``auto`` through RunOptions).  Results are injector-invariant
-        #: by the batch equivalence contract, so journals resume across
-        #: injectors.
-        self.injector = resolve_injector(injector)
         #: shared work-stealing scheduler; None means this run owns a
         #: private one (built only when ``jobs > 1``).  With a shared
         #: scheduler the shards always go through its persistent pool,
@@ -295,7 +288,6 @@ class CampaignRunner:
         return ledger.begin(
             "campaign",
             key=self.spec.fingerprint(),
-            knobs={"injector": self.injector},
             params={"trials": self.spec.trials,
                     "seed": self.spec.seed,
                     "shards": self.spec.shard_count,
@@ -327,8 +319,7 @@ class CampaignRunner:
                 attempts += 1
                 shard_start = time.perf_counter()
                 try:
-                    result = _execute_shard(self.spec, index,
-                                            injector=self.injector)
+                    result = _execute_shard(self.spec, index)
                 except Exception as error:
                     if not state.note_failure(index, attempts, error):
                         break  # retries exhausted; recorded as failed
@@ -351,7 +342,7 @@ class CampaignRunner:
             state.worker_traced = trace_ctx is not None
             job = scheduler.submit(
                 self.spec, indices=pending, max_retries=self.max_retries,
-                injector=self.injector, listener=_RunnerListener(state),
+                listener=_RunnerListener(state),
                 trace_ctx=trace_ctx)
             self._active_job = job
             if self._drain_requested.is_set():
@@ -483,7 +474,6 @@ class _RunState:
             elapsed=time.perf_counter() - self.start,
             jobs=self.runner.jobs,
             fresh_trials=self.fresh_trials,
-            injector=self.runner.injector,
             drained=self.drained,
         )
 

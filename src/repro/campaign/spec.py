@@ -66,7 +66,8 @@ class CampaignSpec:
                      trials, seed=0xF7F7, shard_size=DEFAULT_SHARD_SIZE,
                      mbu=None):
         """Block-level surface: ``(block_stats, protection)`` pairs, the
-        same input :class:`repro.faults.InjectionCampaign` takes."""
+        same input :func:`repro.faults.vulnerability_of_placement`
+        takes."""
         targets = []
         for stats, protection in entries:
             ace = (min(1.0, stats.ace_cycles / total_cycles)
@@ -162,26 +163,6 @@ class CampaignSpec:
             return MbuDistribution.for_node(40)
         return MbuDistribution(self.mbu_probabilities,
                                self.mbu_max_multiplicity)
-
-    def build_injector(self, shard_index, injector=None):
-        """The evaluator for one shard, seeded by the spawning discipline.
-
-        ``injector`` is an ``--injector`` value (``trial`` / ``batch``
-        / ``auto``); ``None`` resolves through
-        :class:`~repro.config.RunOptions`.  Both evaluators consume the
-        identical sampled strike stream, so the choice changes
-        throughput, never counts.
-        """
-        from .batch import resolve_injector
-        from .batch.engine import BatchInjector, TrialInjector
-
-        if resolve_injector(injector) == "batch":
-            return BatchInjector(self, shard_index)
-        return TrialInjector(self, shard_index)
-
-    def build_campaign(self, shard_index):
-        """The per-trial evaluator for one shard (reference discipline)."""
-        return self.build_injector(shard_index, injector="trial")
 
     # --- identity (manifest / resume validation) --------------------------------
 

@@ -29,13 +29,12 @@ import os
 import sys
 
 from . import obs
-from .config import ENGINES, INJECTORS, RunOptions, preset
+from .config import ENGINES, RunOptions, preset
 from .core.online import build_machine
 from .core.priorities import OptimizationMode, thresholds_for_mode
 from .errors import ReproError
 from .eval.experiments import experiment_names, run_experiment
 from .eval.structures import STRUCTURES
-from .faults.injector import InjectionCampaign
 from .isa.disasm import disassemble_program
 from .pipeline import get_context, using_context
 from .profile.report import format_profile_table
@@ -272,23 +271,15 @@ def _print_injection_counts(result):
 
 
 def _cmd_inject(args):
+    from .campaign import CampaignRunner, CampaignSpec
+
     _, profile = _resolve_workload(
         args.workload, args.array_words, args.outer_iterations, args.scale)
     _, plan, _ = get_context().plan(profile, args.structure)
-    if args.jobs == 1:
-        # The original single-process path: byte-identical output to
-        # previous releases for the same seed and trial count.
-        campaign = InjectionCampaign(
-            plan.avf_entries(profile), plan.total_spm_bytes(),
-            profile.total_cycles, seed=args.seed)
-        _print_injection_counts(campaign.run(trials=args.trials))
-        return 0
-    from .campaign import CampaignRunner, CampaignSpec
     spec = CampaignSpec.from_entries(
         plan.avf_entries(profile), plan.total_spm_bytes(),
         profile.total_cycles, trials=args.trials, seed=args.seed)
-    summary = CampaignRunner(spec, jobs=args.jobs,
-                             injector=args.options.injector).run()
+    summary = CampaignRunner(spec, jobs=args.jobs).run()
     _print_injection_counts(summary.result)
     interval = summary.interval("harmful")
     print("95%% Wilson CI:    [%.5f, %.5f]" % (interval.low, interval.high))
@@ -305,8 +296,6 @@ def _print_campaign_plan(args, spec):
     print("campaign plan: %s on %s" % (args.workload, args.structure))
     print("trials:       {:,} in {} shard(s) of <= {:,}".format(
         spec.trials, spec.shard_count, spec.shard_size))
-    print("injector:     %s%s" % (
-        args.options.injector, "" if args.injector else " (default)"))
     print("engine:       %s%s" % (
         args.options.engine, "" if args.engine else " (default)"))
     print("jobs:         %d" % args.jobs)
@@ -341,8 +330,7 @@ def _cmd_campaign(args):
     progress = None if args.no_progress else ProgressPrinter()
     runner = CampaignRunner(spec, jobs=args.jobs, run_dir=args.out,
                             resume=args.resume, max_retries=args.retries,
-                            progress=progress,
-                            injector=args.options.injector)
+                            progress=progress)
     # First SIGINT/SIGTERM drains gracefully (in-flight shards finish
     # and checkpoint; pending ones stay resumable); a second one kills.
     with drain_on_signals(runner):
@@ -358,7 +346,6 @@ def _cmd_campaign(args):
           % analytic)
     print("CI brackets analytic:   %s"
           % ("yes" if interval.brackets(analytic) else "NO"))
-    print("injector:               %s" % args.options.injector)
     print("throughput:             {:,.0f} trials/s over {} job(s)".format(
         summary.throughput, args.jobs))
     if summary.drained:
@@ -382,7 +369,6 @@ def _cmd_serve(args):
                            job_threads=args.job_threads,
                            cache_dir=args.cache_dir,
                            engine=args.options.engine,
-                           injector=args.options.injector,
                            ledger_path=args.ledger)
 
     def announce():
@@ -419,11 +405,6 @@ def _cmd_submit(args):
 
     params = _parse_submit_params(args.param)
     params["workload"] = args.workload
-    # Only explicit flags travel: an omitted one leaves the job on the
-    # server's own default.
-    for knob in ("engine", "injector"):
-        if getattr(args, knob) is not None:
-            params[knob] = getattr(args.options, knob)
     client = ServiceClient(host=args.host, port=args.port,
                            timeout=args.timeout)
     try:
@@ -474,6 +455,7 @@ def _runs_get(ledger, run_id):
 
 
 def _cmd_runs_list(args):
+    import datetime
     import json
 
     from .eval.tables import render_table
@@ -486,8 +468,13 @@ def _cmd_runs_list(args):
         print(json.dumps({"count": len(records), "runs": records},
                          indent=1, sort_keys=True))
         return 0
+
+    def started(epoch):
+        return datetime.datetime.fromtimestamp(
+            epoch, tz=datetime.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
     rows = [[record["id"], record["kind"], record["status"],
-             "%.3f" % record["started_at"], "%.3f" % record["wall_s"],
+             started(record["started_at"]), "%.3f" % record["wall_s"],
              (record.get("key") or "-")[:12]]
             for record in records]
     print(render_table(["Run", "Kind", "Status", "Started", "Wall s",
@@ -816,14 +803,6 @@ def _add_engine_argument(parser):
                              "only speed differs)")
 
 
-def _add_injector_argument(parser):
-    parser.add_argument("--injector", choices=INJECTORS, default=None,
-                        help="shard evaluator (default: REPRO_INJECTOR, "
-                             "else auto = batch; batch reproduces "
-                             "trial's counts exactly, only speed "
-                             "differs)")
-
-
 def _add_obs_arguments(parser):
     parser.add_argument("--trace", metavar="FILE.json", dest="trace",
                         help="record spans and write a Chrome/Perfetto "
@@ -1033,8 +1012,8 @@ def build_parser():
     p_inject.add_argument("--trials", type=int, default=100_000)
     p_inject.add_argument("--seed", type=int, default=0xF7F7)
     p_inject.add_argument("--jobs", type=int, default=1,
-                          help="worker processes (1 = classic serial path)")
-    _add_injector_argument(p_inject)
+                          help="worker processes (counts are identical "
+                               "for any value)")
     _add_obs_arguments(p_inject)
     p_inject.set_defaults(func=_cmd_inject)
 
@@ -1061,9 +1040,8 @@ def build_parser():
                             help="suppress per-shard progress on stderr")
     p_campaign.add_argument("--dry-run", action="store_true",
                             help="print the shard plan (shards, trials, "
-                                 "seeds, injector/engine) and exit "
-                                 "without running any trials")
-    _add_injector_argument(p_campaign)
+                                 "seeds, engine) and exit without "
+                                 "running any trials")
     _add_obs_arguments(p_campaign)
     p_campaign.set_defaults(func=_cmd_campaign)
 
@@ -1086,7 +1064,6 @@ def build_parser():
                          help="append a run-ledger record per job and "
                               "expose it read-only at /v1/runs")
     _add_engine_argument(p_serve)
-    _add_injector_argument(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_submit = sub.add_parser(
@@ -1107,8 +1084,6 @@ def build_parser():
                                "instead of polling for the result")
     p_submit.add_argument("--timeout", type=float, default=600.0,
                           help="seconds to wait for completion")
-    _add_engine_argument(p_submit)
-    _add_injector_argument(p_submit)
     p_submit.set_defaults(func=_cmd_submit)
 
     p_runs = sub.add_parser(
@@ -1167,12 +1142,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The invocation's execution choices, resolved once (flags, then
-    # REPRO_ENGINE/REPRO_INJECTOR, then auto) and passed down from here.
+    # The invocation's execution choices, resolved once (flag, then
+    # REPRO_ENGINE, then auto) and passed down from here.
     try:
         args.options = RunOptions.resolve(
-            engine=getattr(args, "engine", None),
-            injector=getattr(args, "injector", None))
+            engine=getattr(args, "engine", None))
     except ReproError as error:
         print("error: %s" % error, file=sys.stderr)
         return 1

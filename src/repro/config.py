@@ -271,10 +271,7 @@ ALL_PRESETS = {
 
 #: accepted ``--engine`` values (``auto`` resolves to ``fast``)
 ENGINES = ("reference", "fast", "auto")
-#: accepted ``--injector`` values (``auto`` resolves to ``batch``)
-INJECTORS = ("trial", "batch", "auto")
 ENGINE_ENV = "REPRO_ENGINE"
-INJECTOR_ENV = "REPRO_INJECTOR"
 
 
 @dataclass(frozen=True)
@@ -282,52 +279,41 @@ class RunOptions:
     """The execution choices one run actually used, fully resolved.
 
     ``engine`` is the simulation engine (``reference`` step loop or the
-    predecoded ``fast`` engine of :mod:`repro.sim.fastpath`);
-    ``injector`` is the shard evaluator (``trial`` or the vectorized
-    ``batch`` of :mod:`repro.campaign.batch`).  Both are
-    result-invariant — they change throughput, never counts — which is
-    why they stay out of artifact keys and job-coalescing keys, and
-    why the run ledger records them as knobs beside the results.
+    predecoded ``fast`` engine of :mod:`repro.sim.fastpath`).  It is
+    result-invariant — it changes throughput, never counts — which is
+    why it stays out of artifact keys and job-coalescing keys, and why
+    the run ledger records it as a knob beside the results.
 
     Build it with :meth:`resolve` at the edge (CLI, service, library
-    entry points given ``None``) and pass the fields down explicitly.
+    entry points given ``None``) and pass the field down explicitly.
     """
 
     engine: str
-    injector: str
 
     def __post_init__(self):
-        if (self.engine not in ("reference", "fast")
-                or self.injector not in ("trial", "batch")):
+        if self.engine not in ("reference", "fast"):
             raise ConfigurationError(
                 "RunOptions holds resolved choices only, got engine=%r "
-                "injector=%r (use RunOptions.resolve)"
-                % (self.engine, self.injector))
+                "(use RunOptions.resolve)" % (self.engine,))
 
     @classmethod
-    def resolve(cls, engine=None, injector=None):
-        """Validate flag/service values and resolve ``auto``.
+    def resolve(cls, engine=None):
+        """Validate a flag/service value and resolve ``auto``.
 
-        A field left as ``None`` is read from ``REPRO_ENGINE`` /
-        ``REPRO_INJECTOR`` (``auto`` when unset).  Typos raise
-        :class:`~repro.errors.ConfigurationError` rather than silently
-        running another engine.  Nothing is cached: every call reads
-        the environment afresh.
+        ``None`` is read from ``REPRO_ENGINE`` (``auto`` when unset).
+        Typos raise :class:`~repro.errors.ConfigurationError` rather
+        than silently running another engine.  Nothing is cached: every
+        call reads the environment afresh.
         """
-        resolved = {}
-        for name, value, env, choices, auto in (
-                ("engine", engine, ENGINE_ENV, ENGINES, "fast"),
-                ("injector", injector, INJECTOR_ENV, INJECTORS, "batch")):
-            if value is None:
-                value = os.environ.get(env, "").strip().lower() or "auto"
-                origin = "%s=%r" % (env, value)
-            else:
-                origin = "%s %r" % (name, value)
-            if value not in choices:
-                raise ConfigurationError("unknown %s (one of %s)"
-                                         % (origin, "/".join(choices)))
-            resolved[name] = auto if value == "auto" else value
-        return cls(**resolved)
+        if engine is None:
+            engine = os.environ.get(ENGINE_ENV, "").strip().lower() or "auto"
+            origin = "%s=%r" % (ENGINE_ENV, engine)
+        else:
+            origin = "engine %r" % engine
+        if engine not in ENGINES:
+            raise ConfigurationError("unknown %s (one of %s)"
+                                     % (origin, "/".join(ENGINES)))
+        return cls("fast" if engine == "auto" else engine)
 
 
 def preset(name):

@@ -9,9 +9,9 @@ Real, bit-accurate implementations (not behavioural stubs):
   miscorrections, which is exactly the MBU weakness the paper exploits
   in its vulnerability argument.
 
-The fault-injection campaign (:mod:`repro.faults.injector`) runs stored
-words through these codecs and classifies outcomes as DRE / DUE / SDC by
-comparison with the golden data.
+The per-trial campaign oracle (:mod:`repro.campaign.batch.engine`)
+runs stored words through these codecs and classifies outcomes as
+DRE / DUE / SDC by comparison with the golden data.
 """
 
 from .codec import Codec, DecodeOutcome, DecodeResult, ErrorClass

@@ -6,9 +6,10 @@ Implements both halves of the paper's reliability methodology:
   probabilities from the multiplicity distribution of particle-strike
   bit flips (Dixit & Wood's 62/25/6/7 % at 40 nm), weighted by each
   block's ACE time and area share,
-* a **Monte-Carlo injection campaign** that samples strikes, flips real
-  bits in real codewords, runs the actual parity / SEC-DED decoders from
-  :mod:`repro.ecc`, and classifies outcomes — cross-checking the
+* the **measured** side: the :class:`CampaignResult` counts and
+  :class:`Target` surface of the Monte-Carlo injection campaigns in
+  :mod:`repro.campaign`, which sample strikes, classify them with the
+  parity / SEC-DED behaviour of :mod:`repro.ecc`, and cross-check the
   analytic numbers with measured codec behaviour.
 """
 
@@ -20,7 +21,7 @@ from .avf import (
     region_surface_vulnerability,
     vulnerability_of_placement,
 )
-from .injector import CampaignResult, InjectionCampaign, Target
+from .injector import CampaignResult, Target
 from .scrubbing import AccumulationCampaign, AccumulationResult
 
 __all__ = [
@@ -32,7 +33,6 @@ __all__ = [
     "region_surface_vulnerability",
     "vulnerability_of_placement",
     "CampaignResult",
-    "InjectionCampaign",
     "Target",
     "AccumulationCampaign",
     "AccumulationResult",

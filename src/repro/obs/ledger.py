@@ -3,7 +3,7 @@
 Every evaluation, campaign, and service job can leave one line in a
 shared ledger file answering, after the fact, *what ran, with which
 knobs, how long, and what came out*: the content-hash job key, the
-engine/injector knobs, the sampling discipline, the repo version
+engine knob, the sampling discipline, the repo version
 (``git describe``) and pipeline ``SCHEMA_VERSION``, wall/CPU
 durations, pipeline cache hit/miss counts, and the run's own stats
 (campaign counts, shard retries/steals, job state).
@@ -73,8 +73,6 @@ RUN_LEDGER_SCHEMA = {
             "properties": {
                 "engine": {"type": "string",
                            "enum": ["reference", "fast"]},
-                "injector": {"type": "string",
-                             "enum": ["trial", "batch"]},
             },
         },
         "cache": {
@@ -206,7 +204,7 @@ class RunLedger:
     docstring for why that keeps devlint clean.
 
     ``options`` is the :class:`~repro.config.RunOptions` the process
-    resolved at its edge (CLI or service); its fields seed every
+    resolved at its edge (CLI or service); its engine seeds every
     record's knobs, so a campaign record names the engine its profile
     ran under even though the campaign layer never simulates.
     """
@@ -214,8 +212,7 @@ class RunLedger:
     def __init__(self, path, clock=time.time, perf=time.perf_counter,
                  cpu=time.process_time, repo=None, options=None):
         self.path = path
-        self._knobs = ({"engine": options.engine,
-                        "injector": options.injector}
+        self._knobs = ({"engine": options.engine}
                        if options is not None else {})
         self._clock = clock
         self._perf = perf
@@ -230,7 +227,7 @@ class RunLedger:
         """Open a run record; returns the entry :meth:`finish` closes.
 
         ``key`` is the run's content-hash identity (job key, campaign
-        fingerprint); ``knobs`` the engine/injector choices, layered
+        fingerprint); ``knobs`` the execution choices, layered
         over the ledger's ``options``; ``params``
         the run's own configuration; ``sampling`` the campaign seed
         discipline (campaigns only).

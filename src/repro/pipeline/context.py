@@ -314,7 +314,7 @@ class EvaluationContext:
         The artifact is the plain-JSON snapshot document
         (:mod:`repro.diff.model`): every block's region assignment plus
         the analytic metric scalars.  Keyed like an evaluation — and
-        like every artifact it is engine/injector-free, which is what
+        like every artifact it is engine-free, which is what
         makes cross-knob mapping diffs meaningful.
         """
         from ..diff.model import build_snapshot

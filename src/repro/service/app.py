@@ -35,7 +35,6 @@ from ..campaign import (
     CampaignSpec,
     ShardScheduler,
     analytic_vulnerability,
-    resolve_injector,
 )
 from ..campaign.seeding import SAMPLING_DISCIPLINE
 from ..config import RunOptions
@@ -80,14 +79,8 @@ _KIND_PARAMS = {
         "seed": (int, 0xF7F7),
         "shard_size": (int, DEFAULT_SHARD_SIZE),
         "retries": (int, 2),
-        "engine": (str, None),
-        "injector": (str, None),
     },
 }
-
-#: result-invariant knobs: excluded from the coalescing key, because
-#: engine/injector choices change throughput, never counts.
-_KEY_EXCLUDED = ("engine", "injector")
 
 
 def normalize_params(kind, params):
@@ -132,13 +125,6 @@ def _validate_choices(kind, params):
     flavor = params.get("profile")
     if flavor is not None and flavor not in ("dynamic", "static"):
         raise HttpError(400, "profile must be 'dynamic' or 'static'")
-    for knob in ("engine", "injector"):
-        value = params.get(knob)
-        if value is not None:
-            try:
-                RunOptions.resolve(**{knob: value})
-            except ReproError as error:
-                raise HttpError(400, str(error)) from None
     for positive in ("trials", "shard_size", "array_words", "scale"):
         value = params.get(positive)
         if value is not None and value <= 0:
@@ -154,9 +140,7 @@ def job_key(kind, params):
     the canonical strike stream orphans cached measured results
     instead of replaying them.
     """
-    keyed = {name: value for name, value in params.items()
-             if name not in _KEY_EXCLUDED}
-    parts = [kind, keyed]
+    parts = [kind, params]
     if kind == "campaign":
         parts.append(SAMPLING_DISCIPLINE)
     return artifact_key("service-job", *parts)
@@ -166,12 +150,11 @@ class ReproService:
     """One server process: registry + coalescer + scheduler + HTTP."""
 
     def __init__(self, host="127.0.0.1", port=0, workers=2,
-                 job_threads=8, cache_dir=None, engine=None,
-                 injector=None, clock=None, ledger_path=None):
-        #: the service's resolved defaults: every job profiles under
-        #: ``options.engine``; campaign jobs without an ``injector``
-        #: parameter run ``options.injector``.
-        self.options = RunOptions.resolve(engine=engine, injector=injector)
+                 job_threads=8, cache_dir=None, engine=None, clock=None,
+                 ledger_path=None):
+        #: the service's resolved options: every job profiles under
+        #: ``options.engine``.
+        self.options = RunOptions.resolve(engine=engine)
         self.context = EvaluationContext(store=cache_dir,
                                          engine=self.options.engine)
         # ``clock`` stamps job timestamps; inject a fake in tests to
@@ -397,7 +380,6 @@ class ReproService:
         if self.ledger is not None:
             entry = self.ledger.begin(
                 "service-job", key=job.key,
-                knobs={"injector": self._injector_for(job.params)},
                 params=dict(job.params, job=job.id, job_kind=job.kind))
         with obs.span("service.job", category="service",
                       attrs={"kind": job.kind, "key": job.key[:12]}):
@@ -493,14 +475,6 @@ class ReproService:
                                 or ()),
         }
 
-    def _injector_for(self, params):
-        """The evaluator a job runs: its own ``injector`` parameter,
-        else the service default.  A job's ``engine`` parameter is
-        validated but unused — campaigns never simulate; the profile
-        they sample comes from the service context's engine."""
-        return resolve_injector(params.get("injector")
-                                or self.options.injector)
-
     def _compute_campaign(self, job):
         params = job.params
         _, profile = self.context.resolve_workload(
@@ -520,9 +494,8 @@ class ReproService:
                 throughput=round(event.throughput, 1))
 
         runner = CampaignRunner(
-            spec, max_retries=params["retries"],
-            injector=self._injector_for(params),
-            progress=progress, scheduler=self.scheduler)
+            spec, max_retries=params["retries"], progress=progress,
+            scheduler=self.scheduler)
         summary = runner.run()
         interval = summary.interval("harmful")
         result = {

@@ -25,10 +25,11 @@ from repro.campaign import (
     wilson_interval,
     z_value,
 )
+from repro.campaign.batch.equivalence import EVALUATORS, campaign_outcome
 from repro.campaign.runner import FAIL_SHARDS_ENV
 from repro.config import Protection
 from repro.errors import CampaignError
-from repro.faults import CampaignResult, InjectionCampaign, Target
+from repro.faults import CampaignResult, Target
 from repro.ecc.codec import ErrorClass
 from repro.workloads import synthetic_profile
 
@@ -206,9 +207,12 @@ def test_spec_from_entries_matches_injector(sha_profile):
     spec = CampaignSpec.from_entries(
         entries, plan.total_spm_bytes(), sha_profile.total_cycles,
         trials=1000)
-    reference = InjectionCampaign(
-        entries, plan.total_spm_bytes(), sha_profile.total_cycles)
-    assert list(spec.targets) == list(reference.targets)
+    assert [(t.name, t.protection, t.size) for t in spec.targets] == [
+        (stats.name, protection, stats.size)
+        for stats, protection in entries]
+    for target, (stats, _) in zip(spec.targets, entries):
+        assert target.ace_fraction == pytest.approx(
+            min(1.0, stats.ace_cycles / sha_profile.total_cycles))
     assert spec.total_spm_bytes == plan.total_spm_bytes()
 
 
@@ -217,20 +221,28 @@ def test_spec_from_entries_matches_injector(sha_profile):
 def test_serial_run_is_deterministic(sha_spec, sha_reference):
     again = CampaignRunner(sha_spec, jobs=1).run()
     assert canonical(again.result) == canonical(sha_reference.result)
+    for evaluator in EVALUATORS:
+        assert canonical(campaign_outcome(sha_spec, evaluator)) == \
+            canonical(sha_reference.result), evaluator.name
 
 
 def test_jobs4_identical_to_jobs1(sha_spec, sha_reference):
     parallel = CampaignRunner(sha_spec, jobs=4).run()
     assert canonical(parallel.result) == canonical(sha_reference.result)
+    for evaluator in EVALUATORS:
+        assert canonical(campaign_outcome(sha_spec, evaluator)) == \
+            canonical(parallel.result), evaluator.name
 
 
 def test_aggregate_equals_manual_shard_merge(sha_spec, sha_reference):
-    manual = CampaignResult()
-    for index in range(sha_spec.shard_count):
-        shard = sha_spec.build_campaign(index).run(
-            trials=sha_spec.shard_trials(index))
-        manual = manual.merge(shard)
-    assert canonical(manual) == canonical(sha_reference.result)
+    for evaluator in EVALUATORS:
+        manual = CampaignResult()
+        for index in range(sha_spec.shard_count):
+            shard = evaluator(sha_spec, index).run(
+                trials=sha_spec.shard_trials(index))
+            manual = manual.merge(shard)
+        assert canonical(manual) == canonical(sha_reference.result), \
+            evaluator.name
 
 
 def test_different_seed_changes_counts(sha_profile, sha_spec, sha_reference):
@@ -355,11 +367,11 @@ def test_transient_failure_is_retried(sha_spec, sha_reference,
     real = runner_module._execute_shard
     calls = {"failed": 0}
 
-    def flaky(spec, index, injector=None):
+    def flaky(spec, index):
         if index == 2 and calls["failed"] == 0:
             calls["failed"] += 1
             raise RuntimeError("transient worker death")
-        return real(spec, index, injector=injector)
+        return real(spec, index)
 
     monkeypatch.setattr(runner_module, "_execute_shard", flaky)
     summary = CampaignRunner(sha_spec, jobs=1, max_retries=2).run()
@@ -520,9 +532,34 @@ def test_cli_inject_jobs_flag(capsys):
     assert "jobs/shards" in out
 
 
-def test_cli_inject_serial_output_unchanged(capsys):
-    # the classic path must not grow new lines (backwards compatibility)
-    code, out, _ = run_cli(capsys, "inject", "sha", "--trials", "4000")
+def test_cli_inject_counts_independent_of_jobs(capsys):
+    args = ("inject", "sha", "--trials", "20000", "--seed", "9")
+    code, serial, _ = run_cli(capsys, *args, "--jobs", "1")
     assert code == 0
-    assert "measured vulnerability" in out
-    assert "Wilson" not in out
+    code, pooled, _ = run_cli(capsys, *args, "--jobs", "2")
+    assert code == 0
+
+    def count_lines(text):
+        return [line for line in text.splitlines()
+                if not line.startswith("jobs/shards")]
+
+    assert count_lines(serial) == count_lines(pooled)
+    assert "measured vulnerability" in serial
+    assert "Wilson CI" in serial
+
+
+def test_cli_inject_matches_entries_campaign(capsys, sha_profile):
+    from repro.eval.structures import plan_for_structure
+
+    code, out, _ = run_cli(capsys, "inject", "sha", "--trials", "20000",
+                           "--seed", "9")
+    assert code == 0
+    _, plan, _ = plan_for_structure(sha_profile, "ftspm")
+    spec = CampaignSpec.from_entries(
+        plan.avf_entries(sha_profile), plan.total_spm_bytes(),
+        sha_profile.total_cycles, trials=20_000, seed=9)
+    result = CampaignRunner(spec, jobs=1).run().result
+    assert "DUE (detected):   {:,}".format(result.due) in out
+    assert "SDC (silent):     {:,}".format(result.sdc) in out
+    assert ("measured vulnerability: %.5f" % result.vulnerability) in out
+

@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.campaign import CampaignSpec
+from repro.campaign.batch.equivalence import EVALUATORS, campaign_outcome
 from repro.config import Protection
 from repro.errors import FaultInjectionError
 from repro.faults import (
-    InjectionCampaign,
     MbuDistribution,
     region_error_probabilities,
     vulnerability_of_placement,
@@ -164,28 +165,38 @@ def test_total_spm_bytes_must_be_positive(mbu):
 
 # --- Monte-Carlo injection ------------------------------------------------------------
 
-def make_campaign(mbu, seed=1):
-    entries = [
-        (block_stats("ecc-block", 2048, 60), Protection.SECDED),
-        (block_stats("parity-block", 2048, 30), Protection.PARITY),
-        (block_stats("stt-block", 12288, 100), Protection.IMMUNE),
-    ]
-    return InjectionCampaign(entries, total_spm_bytes=16 * 1024,
-                             total_cycles=100, mbu=mbu, seed=seed)
+ENTRIES = [
+    (block_stats("ecc-block", 2048, 60), Protection.SECDED),
+    (block_stats("parity-block", 2048, 30), Protection.PARITY),
+    (block_stats("stt-block", 12288, 100), Protection.IMMUNE),
+]
+
+
+def make_campaign(mbu, trials, seed=1, entries=ENTRIES):
+    return CampaignSpec.from_entries(entries, total_spm_bytes=16 * 1024,
+                                     total_cycles=100, trials=trials,
+                                     seed=seed, mbu=mbu)
+
+
+def run_campaign(mbu, trials, seed=1):
+    """``[(evaluator name, merged result)]`` for every evaluator."""
+    spec = make_campaign(mbu, trials, seed=seed)
+    return [(evaluator.name, campaign_outcome(spec, evaluator))
+            for evaluator in EVALUATORS]
 
 
 def test_campaign_counts_sum(mbu):
-    result = make_campaign(mbu).run(trials=5000)
-    total = (result.benign_immune + result.benign_empty
-             + result.benign_dead + result.none + result.dre
-             + result.due + result.sdc)
-    assert total == result.trials == 5000
+    for name, result in run_campaign(mbu, 5000):
+        total = (result.benign_immune + result.benign_empty
+                 + result.benign_dead + result.none + result.dre
+                 + result.due + result.sdc)
+        assert total == result.trials == 5000, name
 
 
 def test_campaign_sttram_strikes_are_benign(mbu):
-    result = make_campaign(mbu).run(trials=5000)
-    assert result.benign_immune > 0
-    assert "stt-block" not in result.by_block
+    for name, result in run_campaign(mbu, 5000):
+        assert result.benign_immune > 0, name
+        assert "stt-block" not in result.by_block, name
 
 
 def test_campaign_matches_analytic_vulnerability(mbu):
@@ -196,40 +207,37 @@ def test_campaign_matches_analytic_vulnerability(mbu):
     DUE instead of SDC), so the tolerance is loose but the magnitude and
     ordering must agree.
     """
-    entries = [
-        (block_stats("ecc-block", 2048, 60), Protection.SECDED),
-        (block_stats("parity-block", 2048, 30), Protection.PARITY),
-        (block_stats("stt-block", 12288, 100), Protection.IMMUNE),
-    ]
-    analytic = vulnerability_of_placement(entries, 16 * 1024, 100, mbu=mbu)
-    campaign = InjectionCampaign(entries, 16 * 1024, 100, mbu=mbu, seed=3)
-    measured = campaign.run(trials=120_000)
-    assert measured.vulnerability == pytest.approx(
-        analytic.vulnerability, rel=0.25)
+    analytic = vulnerability_of_placement(ENTRIES, 16 * 1024, 100, mbu=mbu)
+    for name, measured in run_campaign(mbu, 120_000, seed=3):
+        assert measured.vulnerability == pytest.approx(
+            analytic.vulnerability, rel=0.25), name
 
 
 def test_campaign_dre_only_from_ecc(mbu):
-    result = make_campaign(mbu).run(trials=20_000)
     from repro.ecc.codec import ErrorClass
-    parity_counts = result.by_block.get("parity-block")
-    if parity_counts is not None:
-        assert parity_counts[ErrorClass.DRE] == 0
-    assert result.dre > 0  # ECC corrects single flips
+    for name, result in run_campaign(mbu, 20_000):
+        parity_counts = result.by_block.get("parity-block")
+        if parity_counts is not None:
+            assert parity_counts[ErrorClass.DRE] == 0, name
+        assert result.dre > 0, name  # ECC corrects single flips
 
 
 def test_campaign_deterministic_with_seed(mbu):
-    first = make_campaign(mbu, seed=9).run(trials=3000)
-    second = make_campaign(mbu, seed=9).run(trials=3000)
-    assert first.sdc == second.sdc
-    assert first.due == second.due
+    first = run_campaign(mbu, 3000, seed=9)
+    second = run_campaign(mbu, 3000, seed=9)
+    assert [r.to_dict() for _, r in first] == \
+        [r.to_dict() for _, r in second]
+    # and the oracle and the vectorized evaluator agree exactly
+    (_, trial), (_, batch) = first
+    assert trial.to_dict() == batch.to_dict()
 
 
 def test_campaign_rejects_overflowing_blocks(mbu):
     entries = [(block_stats("big", 64 * 1024, 10), Protection.SECDED)]
     with pytest.raises(FaultInjectionError):
-        InjectionCampaign(entries, 16 * 1024, 100, mbu=mbu)
+        make_campaign(mbu, 100, entries=entries)
 
 
 def test_campaign_rate_helper(mbu):
-    result = make_campaign(mbu).run(trials=1000)
-    assert result.rate("sdc") == result.sdc / 1000
+    for name, result in run_campaign(mbu, 1000):
+        assert result.rate("sdc") == result.sdc / 1000, name

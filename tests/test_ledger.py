@@ -80,7 +80,7 @@ def test_committed_schema_file_matches_module():
 def test_every_record_kind_validates(tmp_path, kind):
     ledger = _fake_ledger(tmp_path / "ledger.jsonl")
     entry = ledger.begin(kind, key="k" * 64,
-                         knobs={"engine": "fast", "injector": "batch"},
+                         knobs={"engine": "fast"},
                          params={"trials": 10},
                          sampling="pcg64-chunked-v1")
     record = ledger.finish(entry, status="ok", stats={"trials": 10})
@@ -110,9 +110,9 @@ def test_schema_rejects_bad_records(tmp_path):
 
 @pytest.mark.parametrize("knobs", [{"engine": None},
                                    {"engine": "auto"},
-                                   {"injector": None},
-                                   {"injector": "auto"},
-                                   {"engine": "fast", "injector": "warp"}])
+                                   {"engine": "turbo"},
+                                   {"injector": "batch"},
+                                   {"engine": "fast", "injector": "trial"}])
 def test_schema_rejects_unresolved_knobs(tmp_path, knobs):
     ledger = _fake_ledger(tmp_path / "ledger.jsonl")
     with pytest.raises(LedgerError):
@@ -126,13 +126,12 @@ def test_ledger_options_seed_every_record(tmp_path):
     clocks = FakeClocks()
     ledger = RunLedger(str(tmp_path / "ledger.jsonl"), clock=clocks.clock,
                        perf=clocks.perf, cpu=clocks.cpu, repo="test-repo",
-                       options=RunOptions(engine="reference",
-                                          injector="batch"))
+                       options=RunOptions(engine="reference"))
     plain = ledger.finish(ledger.begin("evaluation"))
     layered = ledger.finish(ledger.begin("campaign",
-                                         knobs={"injector": "trial"}))
-    assert plain["knobs"] == {"engine": "reference", "injector": "batch"}
-    assert layered["knobs"] == {"engine": "reference", "injector": "trial"}
+                                         knobs={"engine": "fast"}))
+    assert plain["knobs"] == {"engine": "reference"}
+    assert layered["knobs"] == {"engine": "fast"}
 
 
 def test_injected_clocks_make_records_byte_stable(tmp_path):
@@ -365,8 +364,7 @@ def _seeded_cli_ledger(tmp_path):
     ids = []
     for trials in (100, 200):
         entry = ledger.begin("campaign", key="c" * 64,
-                             knobs={"engine": "fast",
-                                    "injector": "batch"},
+                             knobs={"engine": "fast"},
                              params={"trials": trials},
                              sampling="pcg64-chunked-v1")
         ids.append(ledger.finish(entry,
@@ -403,6 +401,45 @@ def test_runs_list_and_since(tmp_path, capsys):
     assert cli.main(["runs", "list", "--ledger", path]) == 0
     table = capsys.readouterr().out
     assert ids[0] in table and ids[1] in table
+
+
+def test_runs_list_prints_started_as_utc_iso(tmp_path, capsys):
+    path, ids = _seeded_cli_ledger(tmp_path)
+    assert cli.main(["runs", "list", "--ledger", path]) == 0
+    table = capsys.readouterr().out
+    # FakeClocks starts at epoch 1,000,000 s and ticks 1.5 s per begin
+    assert "1970-01-12T13:46:41Z" in table
+    assert "1970-01-12T13:46:43Z" in table
+    assert "1000001.500" not in table
+    # --json keeps the raw epoch
+    assert cli.main(["runs", "list", "--ledger", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [run["started_at"] for run in payload["runs"]] == \
+        [1_000_001.5, 1_000_003.0]
+
+
+def test_runs_read_parent_format_injector_knob(tmp_path, capsys):
+    """Ledgers written before the injector knob was retired still
+    list, show and compare: reading never re-validates old records."""
+    path, ids = _seeded_cli_ledger(tmp_path)
+    lines = open(path).read().splitlines()
+    old = json.loads(lines[0])
+    old["knobs"]["injector"] = "batch"
+    lines[0] = json.dumps(old, sort_keys=True)
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    assert cli.main(["runs", "list", "--ledger", path]) == 0
+    table = capsys.readouterr().out
+    assert ids[0] in table and ids[1] in table
+    assert cli.main(["runs", "show", ids[0], "--ledger", path]) == 0
+    shown = capsys.readouterr().out.splitlines()
+    assert ["knobs.injector", '"batch"'] in [line.split()
+                                             for line in shown]
+    assert cli.main(["runs", "compare", ids[0], ids[1],
+                     "--ledger", path, "--json"]) == 0
+    diff = json.loads(capsys.readouterr().out)["diff"]
+    assert diff["knobs.injector"] == {"a": "batch", "b": None}
+    assert diff["params.trials"]["delta"] == 100
 
 
 def test_runs_compare_diffs_knobs_and_stats(tmp_path, capsys):
@@ -463,19 +500,18 @@ def test_cli_campaign_ledger_records_effective_options(tmp_path, capsys,
     records = RunLedger(path).read()
     assert sorted(r["kind"] for r in records) == ["campaign", "evaluation"]
     for record in records:
-        assert record["knobs"] == {"engine": "fast", "injector": "batch"}
+        assert record["knobs"] == {"engine": "fast"}
 
 
 def test_cli_ledger_records_explicit_flags(tmp_path, capsys):
     path = str(tmp_path / "cli.jsonl")
     assert cli.main(["campaign", "sha", "--trials", "600",
                      "--shard-size", "200", "--no-progress",
-                     "--engine", "reference", "--injector", "trial",
+                     "--engine", "reference",
                      "--ledger", path]) == 0
     capsys.readouterr()
     for record in RunLedger(path).read():
-        assert record["knobs"] == {"engine": "reference",
-                                   "injector": "trial"}
+        assert record["knobs"] == {"engine": "reference"}
 
 
 def test_service_campaign_job_records_context_engine(tmp_path):
@@ -485,8 +521,7 @@ def test_service_campaign_job_records_context_engine(tmp_path):
     service = ReproService(port=0, workers=1, engine="reference",
                            ledger_path=str(path))
     params = normalize_params("campaign", {
-        "workload": "qsort", "trials": 600, "shard_size": 300,
-        "engine": "fast", "injector": "auto"})
+        "workload": "qsort", "trials": 600, "shard_size": 300})
     job = service.registry.create("campaign", params,
                                   job_key("campaign", params))
     obs.set_ledger(service.ledger)
@@ -500,10 +535,9 @@ def test_service_campaign_job_records_context_engine(tmp_path):
     assert sorted(r["kind"] for r in records) == ["campaign",
                                                   "service-job"]
     for record in records:
-        # the job's engine parameter is accepted but the profile came
-        # from the service context, which simulates under "reference"
-        assert record["knobs"] == {"engine": "reference",
-                                   "injector": "batch"}
+        # the profile came from the service context, which simulates
+        # under "reference"
+        assert record["knobs"] == {"engine": "reference"}
 
 
 # --- service /v1/runs ---------------------------------------------------------

@@ -12,7 +12,8 @@ import pytest
 from repro.core.online import build_machine
 from repro.eval import run_experiment
 from repro.eval.structures import STRUCTURES, evaluate_structure
-from repro.faults.injector import InjectionCampaign
+from repro.campaign import CampaignSpec
+from repro.campaign.batch.equivalence import EVALUATORS, campaign_outcome
 from repro.workloads import mibench_names, synthetic_profile
 
 _SMALL = dict(array_words=96, outer_iterations=2)
@@ -96,30 +97,33 @@ def test_claim_case_not_slower(case_scalars):
 
 # --- cross-check: Monte-Carlo injection vs analytic AVF ----------------------------
 
+def _entries_campaign(profile, structure, trials, seed):
+    evaluation = evaluate_structure(profile, structure)
+    return CampaignSpec.from_entries(
+        evaluation.plan.avf_entries(profile),
+        evaluation.plan.total_spm_bytes(),
+        profile.total_cycles, trials=trials, seed=seed)
+
+
 def test_injection_confirms_structure_ordering():
     """Measured (codec-level) vulnerability must preserve the ordering
     the analytic model reports: FTSPM well below the SRAM baseline."""
     profile = synthetic_profile("susan")
-    results = {}
-    for structure in ("ftspm", "baseline-sram"):
-        evaluation = evaluate_structure(profile, structure)
-        campaign = InjectionCampaign(
-            evaluation.plan.avf_entries(profile),
-            evaluation.plan.total_spm_bytes(),
-            profile.total_cycles, seed=99)
-        results[structure] = campaign.run(trials=60_000).vulnerability
-    assert results["ftspm"] < results["baseline-sram"]
+    specs = {structure: _entries_campaign(profile, structure, 60_000, 99)
+             for structure in ("ftspm", "baseline-sram")}
+    for evaluator in EVALUATORS:
+        results = {structure: campaign_outcome(spec,
+                                               evaluator).vulnerability
+                   for structure, spec in specs.items()}
+        assert results["ftspm"] < results["baseline-sram"], evaluator.name
 
 
 def test_sttram_injection_always_benign():
     profile = synthetic_profile("susan")
-    evaluation = evaluate_structure(profile, "baseline-sttram")
-    campaign = InjectionCampaign(
-        evaluation.plan.avf_entries(profile),
-        evaluation.plan.total_spm_bytes(),
-        profile.total_cycles, seed=5)
-    result = campaign.run(trials=20_000)
-    assert result.harmful == 0
+    spec = _entries_campaign(profile, "baseline-sttram", 20_000, 5)
+    for evaluator in EVALUATORS:
+        assert campaign_outcome(spec, evaluator).harmful == 0, \
+            evaluator.name
 
 
 # --- whole-suite sanity --------------------------------------------------------------

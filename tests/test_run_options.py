@@ -3,9 +3,10 @@
 Contracts under test: ``RunOptions.resolve`` validates flag and
 environment values alike, resolves ``auto``, and yields a frozen value
 holding only resolved choices; no module in the package writes
-``os.environ`` and only ``RunOptions`` reads ``REPRO_ENGINE`` /
-``REPRO_INJECTOR``; a ``Machine`` built without an engine honours
-``REPRO_ENGINE``; and a pooled campaign leaves the environment alone.
+``os.environ`` and only ``RunOptions`` reads ``REPRO_ENGINE`` (the
+retired ``REPRO_INJECTOR`` is read nowhere); a ``Machine`` built
+without an engine honours ``REPRO_ENGINE``; and a pooled campaign
+leaves the environment alone.
 """
 
 import ast
@@ -17,7 +18,7 @@ import pytest
 from conftest import read_word
 from repro import Machine, assemble, baseline_sram_config
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.config import ENGINE_ENV, INJECTOR_ENV, RunOptions
+from repro.config import ENGINE_ENV, RunOptions
 from repro.errors import ConfigurationError
 from repro.workloads import synthetic_profile
 
@@ -50,43 +51,38 @@ result: .word 0
 @pytest.fixture
 def clean_env(monkeypatch):
     monkeypatch.delenv(ENGINE_ENV, raising=False)
-    monkeypatch.delenv(INJECTOR_ENV, raising=False)
     return monkeypatch
 
 
 # --- resolution -------------------------------------------------------------
 
 def test_defaults_resolve_auto(clean_env):
-    assert RunOptions.resolve() == RunOptions(engine="fast",
-                                              injector="batch")
-    assert RunOptions.resolve(engine="auto", injector="auto") == \
-        RunOptions(engine="fast", injector="batch")
+    assert RunOptions.resolve() == RunOptions(engine="fast")
+    assert RunOptions.resolve(engine="auto") == RunOptions(engine="fast")
 
 
 def test_flags_win_over_environment(clean_env):
     clean_env.setenv(ENGINE_ENV, "fast")
-    clean_env.setenv(INJECTOR_ENV, "batch")
-    options = RunOptions.resolve(engine="reference", injector="trial")
-    assert (options.engine, options.injector) == ("reference", "trial")
+    assert RunOptions.resolve(engine="reference").engine == "reference"
 
 
 def test_environment_fills_unset_fields(clean_env):
     clean_env.setenv(ENGINE_ENV, "Reference ")
-    clean_env.setenv(INJECTOR_ENV, "auto")
-    assert RunOptions.resolve() == RunOptions(engine="reference",
-                                              injector="batch")
-    assert RunOptions.resolve(injector="trial").engine == "reference"
+    assert RunOptions.resolve() == RunOptions(engine="reference")
+    # the retired injector variable is ignored, whatever it holds
+    clean_env.setenv("REPRO_INJECTOR", "warp")
+    assert RunOptions.resolve().engine == "reference"
 
 
 @pytest.mark.parametrize("kwargs", [{"engine": "turbo"},
-                                    {"injector": "warp"},
+                                    {"engine": "batch"},
                                     {"engine": "FAST"}])
 def test_flag_typos_rejected(clean_env, kwargs):
     with pytest.raises(ConfigurationError, match="unknown"):
         RunOptions.resolve(**kwargs)
 
 
-@pytest.mark.parametrize("env", [ENGINE_ENV, INJECTOR_ENV])
+@pytest.mark.parametrize("env", [ENGINE_ENV])
 def test_environment_typos_rejected(clean_env, env):
     clean_env.setenv(env, "bogus")
     with pytest.raises(ConfigurationError, match=env):
@@ -101,13 +97,14 @@ def test_resolution_is_not_cached(clean_env):
 
 
 def test_frozen_and_resolved_only():
-    options = RunOptions(engine="reference", injector="trial")
+    options = RunOptions(engine="reference")
     with pytest.raises(dataclasses.FrozenInstanceError):
         options.engine = "fast"
-    for engine, injector in (("auto", "trial"), ("reference", "auto"),
-                             (None, "batch")):
+    for engine in ("auto", None, "trial"):
         with pytest.raises(ConfigurationError):
-            RunOptions(engine=engine, injector=injector)
+            RunOptions(engine=engine)
+    assert [field.name for field in dataclasses.fields(RunOptions)] == \
+        ["engine"]
 
 
 # --- the package never writes the environment ------------------------------
@@ -165,7 +162,7 @@ def _knob_env_reads(tree):
         name = (node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute)
                 else None)
-        if name in ("ENGINE_ENV", "INJECTOR_ENV") and isinstance(
+        if name == "ENGINE_ENV" and isinstance(
                 getattr(node, "ctx", None), ast.Load):
             yield node.lineno
 
@@ -181,8 +178,8 @@ def test_only_run_options_reads_knob_environment():
     offenders = [(path, line)
                  for path, tree in _modules()
                  for line in _knob_env_reads(tree)]
-    # the only hits are config.py's two module-level name constants
-    assert [path for path, _ in offenders] == ["config.py"] * 2, offenders
+    # the only hit is config.py's module-level name constant
+    assert [path for path, _ in offenders] == ["config.py"], offenders
 
 
 def test_scanner_flags_writes_and_reads():
@@ -215,16 +212,15 @@ def test_machine_without_engine_honours_environment(clean_env):
     assert read_word(fast, "result") == 10
 
 
-# --- campaigns pass the injector down, never through the environment -------
+# --- campaigns never touch the environment ---------------------------------
 
 def test_pooled_campaign_matches_serial_and_leaves_environment(clean_env):
     spec = CampaignSpec.from_structure(
         synthetic_profile("sha"), "ftspm", trials=6_000, seed=0xC0DE,
         shard_size=2_000)
     before = dict(os.environ)
-    serial = CampaignRunner(spec, jobs=1, injector="batch").run()
-    pooled = CampaignRunner(spec, jobs=2, injector="trial").run()
+    serial = CampaignRunner(spec, jobs=1).run()
+    pooled = CampaignRunner(spec, jobs=2).run()
     assert dict(os.environ) == before
-    assert pooled.injector == "trial" and serial.injector == "batch"
     assert pooled.complete and serial.complete
     assert pooled.result.to_dict() == serial.result.to_dict()

@@ -166,6 +166,18 @@ def test_http_error_paths(harness):
     assert err.value.status == 405
 
 
+def test_campaign_job_rejects_retired_knobs(harness):
+    # campaigns run one evaluator and never simulate: neither knob is
+    # a campaign parameter any more
+    for knob, value in (("injector", "trial"), ("injector", "batch"),
+                        ("engine", "fast")):
+        with pytest.raises(ServiceError) as err:
+            harness.client.submit("campaign", **dict(CAMPAIGN,
+                                                     **{knob: value}))
+        assert err.value.status == 400
+        assert knob in str(err.value)
+
+
 def test_failed_job_reports_error(harness):
     client = harness.client
     # synthetic workloads carry no program: lint must fail cleanly
@@ -213,12 +225,16 @@ def test_store_survives_restart(tmp_path):
 def test_submit_param_normalization_keys():
     from repro.service.app import job_key, normalize_params
     base = normalize_params("campaign", dict(CAMPAIGN))
-    with_knob = normalize_params("campaign",
-                                 dict(CAMPAIGN, injector="trial"))
     reordered = normalize_params(
         "campaign", dict(reversed(list(CAMPAIGN.items()))))
-    assert job_key("campaign", base) == job_key("campaign", with_knob)
     assert job_key("campaign", base) == job_key("campaign", reordered)
+    # A default campaign job keys exactly as it did while the service
+    # still accepted (and stripped) engine/injector parameters, so a
+    # store written then keeps answering.  Moves only with the pipeline
+    # SCHEMA_VERSION or the SAMPLING_DISCIPLINE salt.
+    assert job_key("campaign", normalize_params(
+        "campaign", dict(workload="qsort"))) == (
+        "7f20d06a7ada86787da983764015c56c20753527c20f7c9c8563a6204a12cf40")
     assert (job_key("campaign", base)
             != job_key("campaign",
                        normalize_params("campaign",
