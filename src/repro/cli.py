@@ -29,14 +29,14 @@ import os
 import sys
 
 from . import obs
-from .config import ENGINES, RunOptions, preset
+from .config import preset
 from .core.online import build_machine
 from .core.priorities import OptimizationMode, thresholds_for_mode
 from .errors import ReproError
 from .eval.experiments import experiment_names, run_experiment
 from .eval.structures import STRUCTURES
 from .isa.disasm import disassemble_program
-from .pipeline import get_context, using_context
+from .pipeline import get_context
 from .profile.report import format_profile_table
 from .units import format_energy, format_time
 from .workloads.kernels import kernel_names
@@ -242,8 +242,7 @@ def _cmd_run(args):
             "workload %r is profile-only; pick 'case' or a kernel"
             % args.workload)
     config, plan, _ = get_context().plan(profile, args.structure)
-    machine = build_machine(program, config, plan, profile,
-                            engine=args.options.engine)
+    machine = build_machine(program, config, plan, profile)
     result = machine.run()
     print("structure:        %s" % args.structure)
     print("instructions:     {:,}".format(result.instructions))
@@ -296,8 +295,6 @@ def _print_campaign_plan(args, spec):
     print("campaign plan: %s on %s" % (args.workload, args.structure))
     print("trials:       {:,} in {} shard(s) of <= {:,}".format(
         spec.trials, spec.shard_count, spec.shard_size))
-    print("engine:       %s%s" % (
-        args.options.engine, "" if args.engine else " (default)"))
     print("jobs:         %d" % args.jobs)
     fraction = StrikeSurface.from_spec(spec).fault_free_fraction()
     print("fault-free:   %.1f%% of strikes fast-forward without "
@@ -368,7 +365,6 @@ def _cmd_serve(args):
                            workers=args.workers,
                            job_threads=args.job_threads,
                            cache_dir=args.cache_dir,
-                           engine=args.options.engine,
                            ledger_path=args.ledger)
 
     def announce():
@@ -436,7 +432,7 @@ def _runs_ledger_path(args):
 
 
 def _flatten_record(record, prefix=""):
-    """Nested record -> sorted ``{"knobs.engine": ...}`` dotted keys."""
+    """Nested record -> sorted ``{"params.trials": ...}`` dotted keys."""
     flat = {}
     for name in sorted(record):
         value = record[name]
@@ -573,8 +569,7 @@ def _cmd_trace(args):
     if program is None:
         raise ReproError("workload %r cannot be traced (profile-only)"
                          % args.workload)
-    trace = record_trace(program, preset(args.structure),
-                         engine=args.options.engine)
+    trace = record_trace(program, preset(args.structure))
     fetches, reads, writes = trace.counts()
     print("captured {:,} records ({:,} fetches, {:,} reads, {:,} writes)"
           .format(len(trace), fetches, reads, writes))
@@ -657,8 +652,9 @@ def _cmd_golden(args):
             else entry.diff.summary())
     checked = names or golden_names()
     if not problems:
-        print("golden corpus OK (%d workload(s) checked, sim + campaign "
-              "+ mapping)" % len(checked))
+        print("golden corpus OK (%d workload(s) checked, sim under the "
+              "reference and fast engines + campaign + mapping)"
+              % len(checked))
         return 0
     for name, problem in sorted(problems.items()):
         print("%s: %s" % (name, problem))
@@ -687,10 +683,9 @@ def _diff_flavors(args):
 def _diff_side_label(which, args):
     parts = ["%s profile" % (getattr(args, which + "_profile")
                              or "dynamic")]
-    for knob in ("structure", "engine"):
-        value = getattr(args, "%s_%s" % (which, knob))
-        if value:
-            parts.append("%s=%s" % (knob, value))
+    structure = getattr(args, which + "_structure")
+    if structure:
+        parts.append("structure=%s" % structure)
     return ", ".join(parts)
 
 
@@ -705,8 +700,7 @@ def _diff_fresh_pair(args, thresholds):
             args.workload,
             flavor=getattr(args, which + "_profile") or "dynamic",
             structure=getattr(args, which + "_structure")
-            or args.structure,
-            engine=getattr(args, which + "_engine"))
+            or args.structure)
     report.add(args.workload, diff_snapshots(
         sides["a"], sides["b"], a_label=_diff_side_label("a", args),
         b_label=_diff_side_label("b", args), key=args.workload))
@@ -796,13 +790,6 @@ def _cmd_disasm(args):
     return 0
 
 
-def _add_engine_argument(parser):
-    parser.add_argument("--engine", choices=ENGINES, default=None,
-                        help="execution engine (default: REPRO_ENGINE, "
-                             "else auto = fast; results are identical, "
-                             "only speed differs)")
-
-
 def _add_obs_arguments(parser):
     parser.add_argument("--trace", metavar="FILE.json", dest="trace",
                         help="record spans and write a Chrome/Perfetto "
@@ -832,7 +819,6 @@ def _add_workload_arguments(parser):
                         help="case-study outer loop count")
     parser.add_argument("--scale", type=int, default=1,
                         help="kernel input scale factor")
-    _add_engine_argument(parser)
 
 
 def build_parser():
@@ -861,7 +847,6 @@ def build_parser():
     p_report.add_argument("--timings", action="store_true",
                           help="print a per-experiment wall-clock table "
                                "to stderr")
-    _add_engine_argument(p_report)
     _add_obs_arguments(p_report)
     p_report.set_defaults(func=_cmd_report)
 
@@ -880,7 +865,6 @@ def build_parser():
                                "changes under src/repro/ (normally "
                                "refused so a regression cannot be "
                                "silently re-baselined)")
-    _add_engine_argument(p_golden)
     p_golden.set_defaults(func=_cmd_golden)
 
     p_diff = sub.add_parser(
@@ -920,9 +904,6 @@ def build_parser():
         p_diff.add_argument("--%s-structure" % side,
                             choices=sorted(STRUCTURES), default=None,
                             help="side %s structure" % side)
-        p_diff.add_argument("--%s-engine" % side,
-                            choices=ENGINES, default=None,
-                            help="side %s execution engine" % side)
     p_diff.add_argument("--json", action="store_true",
                         help="print the machine-readable report "
                              "(schema: docs/schemas/"
@@ -1040,8 +1021,8 @@ def build_parser():
                             help="suppress per-shard progress on stderr")
     p_campaign.add_argument("--dry-run", action="store_true",
                             help="print the shard plan (shards, trials, "
-                                 "seeds, engine) and exit without "
-                                 "running any trials")
+                                 "seeds) and exit without running any "
+                                 "trials")
     _add_obs_arguments(p_campaign)
     p_campaign.set_defaults(func=_cmd_campaign)
 
@@ -1063,7 +1044,6 @@ def build_parser():
     p_serve.add_argument("--ledger", metavar="FILE.jsonl",
                          help="append a run-ledger record per job and "
                               "expose it read-only at /v1/runs")
-    _add_engine_argument(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_submit = sub.add_parser(
@@ -1142,14 +1122,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The invocation's execution choices, resolved once (flag, then
-    # REPRO_ENGINE, then auto) and passed down from here.
-    try:
-        args.options = RunOptions.resolve(
-            engine=getattr(args, "engine", None))
-    except ReproError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 1
     trace_path = getattr(args, "trace", None)
     metrics_path = getattr(args, "metrics", None)
     # 'runs' reads a ledger, and 'serve' hands its --ledger to the
@@ -1163,16 +1135,13 @@ def main(argv=None):
     if ledger_path:
         from .obs.ledger import RunLedger
 
-        ledger = RunLedger(ledger_path, options=args.options)
+        ledger = RunLedger(ledger_path)
         obs.set_ledger(ledger)
         entry = ledger.begin("evaluation",
                              params=_evaluation_params(args))
     code = 1
     try:
-        # Artifacts are engine-free, so the shared default context's
-        # memo serves this run; only its new simulations take the engine.
-        with using_context(get_context().with_engine(args.options.engine)):
-            code = args.func(args)
+        code = args.func(args)
         return code
     except ReproError as error:
         print("error: %s" % error, file=sys.stderr)

@@ -17,7 +17,6 @@ All three share an 8 KB unprotected SRAM L1 instruction/data cache with
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigurationError
@@ -265,55 +264,6 @@ ALL_PRESETS = {
     "baseline-sttram": baseline_sttram_config,
     "ftspm": ftspm_config,
 }
-
-
-# --- run options --------------------------------------------------------------
-
-#: accepted ``--engine`` values (``auto`` resolves to ``fast``)
-ENGINES = ("reference", "fast", "auto")
-ENGINE_ENV = "REPRO_ENGINE"
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """The execution choices one run actually used, fully resolved.
-
-    ``engine`` is the simulation engine (``reference`` step loop or the
-    predecoded ``fast`` engine of :mod:`repro.sim.fastpath`).  It is
-    result-invariant — it changes throughput, never counts — which is
-    why it stays out of artifact keys and job-coalescing keys, and why
-    the run ledger records it as a knob beside the results.
-
-    Build it with :meth:`resolve` at the edge (CLI, service, library
-    entry points given ``None``) and pass the field down explicitly.
-    """
-
-    engine: str
-
-    def __post_init__(self):
-        if self.engine not in ("reference", "fast"):
-            raise ConfigurationError(
-                "RunOptions holds resolved choices only, got engine=%r "
-                "(use RunOptions.resolve)" % (self.engine,))
-
-    @classmethod
-    def resolve(cls, engine=None):
-        """Validate a flag/service value and resolve ``auto``.
-
-        ``None`` is read from ``REPRO_ENGINE`` (``auto`` when unset).
-        Typos raise :class:`~repro.errors.ConfigurationError` rather
-        than silently running another engine.  Nothing is cached: every
-        call reads the environment afresh.
-        """
-        if engine is None:
-            engine = os.environ.get(ENGINE_ENV, "").strip().lower() or "auto"
-            origin = "%s=%r" % (ENGINE_ENV, engine)
-        else:
-            origin = "engine %r" % engine
-        if engine not in ENGINES:
-            raise ConfigurationError("unknown %s (one of %s)"
-                                     % (origin, "/".join(ENGINES)))
-        return cls("fast" if engine == "auto" else engine)
 
 
 def preset(name):

@@ -15,10 +15,10 @@ are the paper's named functions and data objects (plus the synthetic
 resizing, and MDA changes — which is exactly what lets a diff say
 "``Array2`` moved SEC-DED→parity" rather than "digest mismatch".
 
-The execution engine is recorded as *provenance* only: engines are
-proven result-invariant elsewhere (tests/test_differential.py), so two
-snapshots that differ only in provenance must diff empty — and a test
-pins that.
+``provenance`` is free-form metadata that is round-tripped but never
+diffed.  Freshly computed snapshots leave it empty; snapshot files
+written by older versions may carry an ``engine`` entry there, and they
+still diff empty against a fresh snapshot of the same mapping.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class MappingSnapshot:
     blocks: dict = field(default_factory=dict)  # name -> BlockPlacement
     regions: dict = field(default_factory=dict)  # name -> {size,used,...}
     metrics: dict = field(default_factory=dict)  # name -> float
-    provenance: dict = field(default_factory=dict)  # engine/...
+    provenance: dict = field(default_factory=dict)  # never diffed
 
     @property
     def key(self):
@@ -147,7 +147,7 @@ class MappingSnapshot:
         )
 
 
-def build_snapshot(profile, evaluation, provenance=None):
+def build_snapshot(profile, evaluation):
     """Extract a snapshot from a finished :class:`StructureEvaluation`.
 
     ``profile`` supplies block identity (kind, size); the evaluation
@@ -184,5 +184,4 @@ def build_snapshot(profile, evaluation, provenance=None):
         blocks=blocks,
         regions=regions,
         metrics=metrics,
-        provenance=dict(provenance or {}),
     )

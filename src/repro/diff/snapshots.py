@@ -12,11 +12,8 @@ corpus; ``repro golden --update`` refreshes the corpus (guarded
 against dirty ``src/repro/`` trees so a regression cannot be silently
 re-baselined).
 
-Snapshot *computation* accepts an engine knob, recorded as
-provenance: engines are result-invariant by contract, and the
-cross-engine identity test diffs snapshots computed under both to pin
-that guarantee at the mapping level.  No injector is involved: a
-mapping snapshot never runs a campaign.
+A mapping snapshot never runs a campaign, and its only simulation is
+the profiling run behind the ``dynamic`` flavor.
 """
 
 from __future__ import annotations
@@ -64,21 +61,17 @@ def snapshot_path(directory, workload, flavor):
 # --- computing / persisting snapshots ---------------------------------------
 
 def compute_snapshot(workload, flavor="dynamic",
-                     structure=GOLDEN_STRUCTURE, engine=None,
-                     context=None, thresholds=None):
+                     structure=GOLDEN_STRUCTURE, context=None,
+                     thresholds=None):
     """Freshly evaluate one (workload, flavor) pair into a snapshot.
 
-    With ``context=None`` the process-wide pipeline context is used
-    when no engine is given (profiles and plans are then computed once
-    per process); passing an engine builds a *fresh* context so the
-    computation genuinely re-runs under it instead of replaying a
-    memoized artifact.
+    ``context=None`` uses the process-wide pipeline context, so
+    profiles and plans are computed once per process.  The snapshot
+    carries empty ``provenance``.
     """
-    from ..pipeline import EvaluationContext, get_context
+    from ..pipeline import get_context
 
-    if context is None:
-        context = (get_context() if engine is None
-                   else EvaluationContext(engine=engine))
+    context = context or get_context()
     program, profile = context.resolve_workload(
         workload, array_words=GOLDEN_CASE_ARRAY_WORDS,
         outer_iterations=GOLDEN_CASE_OUTER_ITERATIONS,
@@ -91,7 +84,6 @@ def compute_snapshot(workload, flavor="dynamic",
                                        thresholds=thresholds)
     snapshot = MappingSnapshot.from_dict(payload)
     snapshot.workload = workload  # CLI spec, not profile.source_name
-    snapshot.provenance = {"engine": engine or "default"}
     return snapshot
 
 
@@ -119,24 +111,18 @@ def write_snapshot(path, snapshot):
 
 def write_mapping_golden(directory, names=None, flavors=None,
                          context=None):
-    """Refresh the corpus in ``directory``; returns the written paths.
-
-    Committed snapshots carry no provenance (they are knob-invariant
-    by contract), so refreshing under any engine yields identical
-    bytes.
-    """
+    """Refresh the corpus in ``directory``; returns the written paths."""
     os.makedirs(directory, exist_ok=True)
     written = []
     for workload, flavor in snapshot_names(names, flavors):
         snapshot = compute_snapshot(workload, flavor, context=context)
-        snapshot.provenance = {}
         written.append(write_snapshot(
             snapshot_path(directory, workload, flavor), snapshot))
     return written
 
 
 def check_mapping_golden(directory, names=None, flavors=None,
-                         thresholds=None, context=None, engine=None):
+                         thresholds=None, context=None):
     """Diff freshly computed mappings against the corpus in
     ``directory`` (``tests/golden/mappings`` in the committed tree).
 
@@ -145,21 +131,13 @@ def check_mapping_golden(directory, names=None, flavors=None,
     thresholds, 1 on violations, 2 when corpus entries are missing or
     unreadable.
     """
-    from ..pipeline import EvaluationContext
-
     report = DiffSetReport(thresholds=thresholds or DiffThresholds())
-    shared_context = context
-    if shared_context is None and engine is not None:
-        # One fresh context for the whole sweep, so the engine is
-        # honoured without recomputing shared profiles once per entry.
-        shared_context = EvaluationContext(engine=engine)
     for workload, flavor in snapshot_names(names, flavors):
         key = "%s/%s" % (workload, flavor)
         path = snapshot_path(directory, workload, flavor)
         try:
             committed = load_snapshot(path)
-            current = compute_snapshot(
-                workload, flavor, context=shared_context, engine=engine)
+            current = compute_snapshot(workload, flavor, context=context)
         except ReproError as error:
             report.add_problem(key, str(error))
             continue

@@ -89,9 +89,7 @@ def generate_report(array_words=256, outer_iterations=4, include=None,
         from ..pipeline import EvaluationContext, get_context, using_context
         # Adopt artifacts already computed in this process so enabling
         # the cache never repeats work the default context has done.
-        current = get_context()
-        context = EvaluationContext(
-            store=cache_dir, engine=current.engine).adopt(current)
+        context = EvaluationContext(store=cache_dir).adopt(get_context())
         with using_context(context):
             return _render(array_words, outer_iterations, include, timings)
     return _render(array_words, outer_iterations, include, timings)

@@ -1,9 +1,9 @@
 """Append-only run ledger: one durable JSONL record per run.
 
 Every evaluation, campaign, and service job can leave one line in a
-shared ledger file answering, after the fact, *what ran, with which
-knobs, how long, and what came out*: the content-hash job key, the
-engine knob, the sampling discipline, the repo version
+shared ledger file answering, after the fact, *what ran, how long, and
+what came out*: the content-hash job key, the run's parameters, the
+sampling discipline, the repo version
 (``git describe``) and pipeline ``SCHEMA_VERSION``, wall/CPU
 durations, pipeline cache hit/miss counts, and the run's own stats
 (campaign counts, shard retries/steals, job state).
@@ -48,11 +48,11 @@ RUN_LEDGER_SCHEMA = {
     "title": "repro run ledger record",
     "description": ("One line of the append-only JSONL run ledger: a "
                     "single evaluation, campaign, or service job with "
-                    "its knobs, provenance, durations, and stats."),
+                    "its parameters, provenance, durations, and stats."),
     "type": "object",
     "required": ["schema", "id", "kind", "repo", "pipeline_schema",
                  "pid", "started_at", "wall_s", "cpu_s", "status",
-                 "knobs", "cache", "params", "stats"],
+                 "cache", "params", "stats"],
     "additionalProperties": False,
     "properties": {
         "schema": {"type": "integer", "enum": [LEDGER_SCHEMA_VERSION]},
@@ -67,14 +67,6 @@ RUN_LEDGER_SCHEMA = {
         "wall_s": {"type": "number", "minimum": 0},
         "cpu_s": {"type": "number", "minimum": 0},
         "status": {"type": "string"},
-        "knobs": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "engine": {"type": "string",
-                           "enum": ["reference", "fast"]},
-            },
-        },
         "cache": {
             "type": "object",
             "required": ["hits", "misses"],
@@ -177,15 +169,14 @@ def parse_since(text, now=None):
 class LedgerEntry:
     """An in-flight run opened by :meth:`RunLedger.begin`."""
 
-    __slots__ = ("run_id", "kind", "key", "knobs", "params", "sampling",
+    __slots__ = ("run_id", "kind", "key", "params", "sampling",
                  "started_at", "_t0", "_cpu0", "_cache0")
 
-    def __init__(self, run_id, kind, key, knobs, params, sampling,
-                 started_at, t0, cpu0, cache0):
+    def __init__(self, run_id, kind, key, params, sampling, started_at,
+                 t0, cpu0, cache0):
         self.run_id = run_id
         self.kind = kind
         self.key = key
-        self.knobs = knobs
         self.params = params
         self.sampling = sampling
         self.started_at = started_at
@@ -202,18 +193,11 @@ class RunLedger:
     default to the stdlib functions as uncalled references and are
     only ever called here, inside ``repro.obs`` — see the module
     docstring for why that keeps devlint clean.
-
-    ``options`` is the :class:`~repro.config.RunOptions` the process
-    resolved at its edge (CLI or service); its engine seeds every
-    record's knobs, so a campaign record names the engine its profile
-    ran under even though the campaign layer never simulates.
     """
 
     def __init__(self, path, clock=time.time, perf=time.perf_counter,
-                 cpu=time.process_time, repo=None, options=None):
+                 cpu=time.process_time, repo=None):
         self.path = path
-        self._knobs = ({"engine": options.engine}
-                       if options is not None else {})
         self._clock = clock
         self._perf = perf
         self._cpu = cpu
@@ -222,15 +206,12 @@ class RunLedger:
 
     # --- writing -------------------------------------------------------------
 
-    def begin(self, kind, key=None, knobs=None, params=None,
-              sampling=None):
+    def begin(self, kind, key=None, params=None, sampling=None):
         """Open a run record; returns the entry :meth:`finish` closes.
 
         ``key`` is the run's content-hash identity (job key, campaign
-        fingerprint); ``knobs`` the execution choices, layered
-        over the ledger's ``options``; ``params``
-        the run's own configuration; ``sampling`` the campaign seed
-        discipline (campaigns only).
+        fingerprint); ``params`` the run's own configuration;
+        ``sampling`` the campaign seed discipline (campaigns only).
         """
         if kind not in RECORD_KINDS:
             raise LedgerError("unknown record kind %r (one of: %s)"
@@ -243,7 +224,6 @@ class RunLedger:
             run_id="r-%s" % digest[:12],
             kind=kind,
             key=key,
-            knobs=dict(self._knobs, **(knobs or {})),
             params=dict(params) if params else {},
             sampling=sampling,
             started_at=started_at,
@@ -274,7 +254,6 @@ class RunLedger:
             "wall_s": round(max(0.0, self._perf() - entry._t0), 6),
             "cpu_s": round(max(0.0, self._cpu() - entry._cpu0), 6),
             "status": status,
-            "knobs": entry.knobs,
             "cache": {
                 "hits": cache1["hits"] - entry._cache0["hits"],
                 "misses": cache1["misses"] - entry._cache0["misses"],

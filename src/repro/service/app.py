@@ -37,7 +37,6 @@ from ..campaign import (
     analytic_vulnerability,
 )
 from ..campaign.seeding import SAMPLING_DISCIPLINE
-from ..config import RunOptions
 from ..core.priorities import OptimizationMode, thresholds_for_mode
 from ..errors import ReproError
 from ..eval.structures import STRUCTURES
@@ -150,13 +149,9 @@ class ReproService:
     """One server process: registry + coalescer + scheduler + HTTP."""
 
     def __init__(self, host="127.0.0.1", port=0, workers=2,
-                 job_threads=8, cache_dir=None, engine=None, clock=None,
+                 job_threads=8, cache_dir=None, clock=None,
                  ledger_path=None):
-        #: the service's resolved options: every job profiles under
-        #: ``options.engine``.
-        self.options = RunOptions.resolve(engine=engine)
-        self.context = EvaluationContext(store=cache_dir,
-                                         engine=self.options.engine)
+        self.context = EvaluationContext(store=cache_dir)
         # ``clock`` stamps job timestamps; inject a fake in tests to
         # pin submitted_at/finished_at in status responses.
         self.registry = JobRegistry(clock=clock)
@@ -166,10 +161,9 @@ class ReproService:
         if ledger_path:
             from ..obs.ledger import RunLedger
 
-            self.ledger = (
-                RunLedger(ledger_path, clock=clock, options=self.options)
-                if clock is not None
-                else RunLedger(ledger_path, options=self.options))
+            self.ledger = (RunLedger(ledger_path, clock=clock)
+                           if clock is not None
+                           else RunLedger(ledger_path))
         self.coalescer = Coalescer()
         self.scheduler = ShardScheduler(workers=workers)
         self.server = HttpServer(self._handle, host=host, port=port)

@@ -6,9 +6,15 @@
 transfer schedule (the online mapping phase) into a runnable platform.
 """
 
-from ..config import ENGINES
 from .cpu import Cpu, CpuState, ExecStats
-from .machine import EXIT_ADDRESS, Machine, RunResult, TransferAction, TransferSchedule
+from .machine import (
+    ENGINES,
+    EXIT_ADDRESS,
+    Machine,
+    RunResult,
+    TransferAction,
+    TransferSchedule,
+)
 
 __all__ = [
     "Cpu",

@@ -32,7 +32,7 @@ import json
 import os
 
 from ..errors import ReproError
-from .machine import Machine
+from .machine import ENGINES, Machine
 
 #: bump when the digest layout changes (golden files self-identify)
 GOLDEN_SCHEMA = 1
@@ -119,7 +119,7 @@ def machine_digest(machine, error=None):
     }
 
 
-def run_with_engine(program, config, engine, schedule=None,
+def run_on_engine(program, config, engine, schedule=None,
                     energy_models=None, max_instructions=None,
                     trace=False, setup=None):
     """Run ``program`` under one engine and return its digest.
@@ -197,11 +197,11 @@ class DiffReport:
 def compare_engines(program, config, schedule=None, energy_models=None,
                     max_instructions=None, trace=False, setup=None):
     """Run both engines over identical machines and diff the digests."""
-    reference = run_with_engine(
+    reference = run_on_engine(
         program, config, "reference", schedule=schedule,
         energy_models=energy_models, max_instructions=max_instructions,
         trace=trace, setup=setup)
-    fast = run_with_engine(
+    fast = run_on_engine(
         program, config, "fast", schedule=schedule,
         energy_models=energy_models, max_instructions=max_instructions,
         trace=trace, setup=setup)
@@ -354,13 +354,14 @@ def golden_filename(name):
     return name.replace(":", "-") + ".json"
 
 
-def _golden_machine(name, engine="reference"):
+def _golden_machine(name, engine):
     """Build the canonical machine for one corpus entry: the workload
     placed on the FTSPM structure by the MDA plan, DMA schedule and all.
     Uses the shared pipeline context so profiles/plans are computed once
     per process no matter how many entries are refreshed."""
-    from ..core.online import build_machine
+    from ..core.online import schedule_for_plan
     from ..pipeline import get_context
+    from ..tech.nvsim_lite import energy_models_for
 
     context = get_context()
     if name == "case":
@@ -372,12 +373,14 @@ def _golden_machine(name, engine="reference"):
     else:
         raise ReproError("unknown golden workload %r" % name)
     config, plan, _ = context.plan(profile, GOLDEN_STRUCTURE)
-    return build_machine(program, config, plan, profile, engine=engine)
+    return Machine(program, config, energy_models=energy_models_for(config),
+                   schedule=schedule_for_plan(plan, profile), engine=engine)
 
 
 def golden_digest(name, engine="reference"):
-    """The committed digest for one corpus entry (reference engine)."""
-    machine = _golden_machine(name, engine=engine)
+    """The corpus digest for one entry; the committed corpus is written
+    under the reference engine."""
+    machine = _golden_machine(name, engine)
     machine.run()
     digest = machine_digest(machine)
     digest.pop("error")
@@ -403,12 +406,15 @@ def write_golden(directory, names=None):
     return written
 
 
-def check_golden(directory, names=None, engine="reference"):
+def check_golden(directory, names=None, engines=ENGINES):
     """Compare current behaviour against the committed corpus.
 
-    Returns ``{name: problem}`` — empty means every digest matches.  A
-    missing or schema-mismatched file is reported as its own problem so
-    the test failure says exactly what to regenerate.
+    Every entry is re-simulated under each of ``engines`` — by default
+    the reference oracle that wrote the corpus and the fast engine
+    every run uses.  Returns ``{name: problem}`` — empty means every
+    digest matches.  A missing or schema-mismatched file is reported as
+    its own problem so the test failure says exactly what to
+    regenerate.
     """
     problems = {}
     for name in names or golden_names():
@@ -424,9 +430,13 @@ def check_golden(directory, names=None, engine="reference"):
                               "repro golden --update"
                               % (committed.get("schema"), GOLDEN_SCHEMA))
             continue
-        current = golden_digest(name, engine=engine)
-        if current["digest"] != committed["digest"]:
-            diff = DiffReport(committed["digest"], current["digest"],
-                              labels=("committed", "current"))
-            problems[name] = diff.explain()
+        found = []
+        for engine in engines:
+            current = golden_digest(name, engine=engine)
+            if current["digest"] != committed["digest"]:
+                diff = DiffReport(committed["digest"], current["digest"],
+                                  labels=("committed", engine))
+                found.append("[%s engine] %s" % (engine, diff.explain()))
+        if found:
+            problems[name] = "\n".join(found)
     return problems

@@ -16,8 +16,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .. import obs
-from ..config import RunOptions
-from ..errors import ExecutionLimitExceeded, IllegalInstructionError
+from ..errors import (
+    ConfigurationError,
+    ExecutionLimitExceeded,
+    IllegalInstructionError,
+)
 from ..isa.instructions import INSTRUCTION_BYTES
 from ..mem.dma import DmaEngine
 from ..mem.hierarchy import AccessType, MemorySystem
@@ -26,6 +29,9 @@ from .cpu import Cpu
 EXIT_ADDRESS = 0xFFFF_FFF0
 
 DEFAULT_INSTRUCTION_LIMIT = 200_000_000
+
+#: accepted ``Machine(engine=...)`` values
+ENGINES = ("reference", "fast")
 
 
 @dataclass(frozen=True)
@@ -102,21 +108,22 @@ class RunResult:
 class Machine:
     """A complete simulated platform executing one program.
 
-    ``engine`` selects the execution engine for :meth:`run`:
-    ``"reference"`` is the per-cycle step loop below, ``"fast"`` (and
-    ``"auto"``) the predecoded basic-block engine
-    (:class:`~repro.sim.fastpath.FastEngine`), which produces
-    byte-identical results and falls back to the reference loop
-    wherever exact per-cycle interleaving matters.  ``None`` resolves
-    through :meth:`~repro.config.RunOptions.resolve` (``REPRO_ENGINE``,
-    else ``fast``).
+    :meth:`run` executes on the predecoded basic-block engine
+    (:class:`~repro.sim.fastpath.FastEngine`), which falls back to the
+    per-cycle step loop below wherever exact per-cycle interleaving
+    matters.  ``engine="reference"`` runs the step loop throughout; it
+    is the oracle :mod:`repro.sim.diffcheck` locks the fast engine to,
+    byte for byte, and nothing else selects it.
     """
 
     def __init__(self, program, config, energy_models=None, schedule=None,
-                 engine=None):
+                 engine="fast"):
+        if engine not in ENGINES:
+            raise ConfigurationError("unknown engine %r (one of %s)"
+                                     % (engine, "/".join(ENGINES)))
         self.program = program
         self.config = config
-        self.engine = RunOptions.resolve(engine=engine).engine
+        self.engine = engine
         self.memory = MemorySystem(config, energy_models)
         self.dma = DmaEngine(self.memory)
         self.schedule = schedule or TransferSchedule()

@@ -169,11 +169,10 @@ class TraceRecorder(EventSubscriber):
             self.trace.append(TraceRecord("R", event.address, event.size))
 
 
-def record_trace(program, config, schedule=None, max_instructions=None,
-                 engine=None):
+def record_trace(program, config, schedule=None, max_instructions=None):
     """Run a program once and return its access trace."""
     from ..sim.machine import Machine
-    machine = Machine(program, config, schedule=schedule, engine=engine)
+    machine = Machine(program, config, schedule=schedule)
     recorder = TraceRecorder(machine).attach()
     if max_instructions is None:
         machine.run()

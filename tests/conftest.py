@@ -16,7 +16,7 @@ from repro import (
     ftspm_config,
 )
 from repro.core.mda import MappingDeterminer
-from repro.profile.profiler import profile_program
+from repro.profile.profiler import Profiler, profile_program
 from repro.workloads.case_study import case_study_program
 from repro.workloads.kernels import kernel_program
 
@@ -27,6 +27,16 @@ def run_source(source, config=None, max_instructions=1_000_000):
     machine = Machine(program, config or baseline_sram_config())
     machine.run(max_instructions=max_instructions)
     return machine
+
+
+def profile_under(program, engine, config=None):
+    """Profile ``program`` like :func:`profile_program`, but on the
+    named engine (``profile_program`` always runs the fast one)."""
+    machine = Machine(program, config or baseline_sram_config(),
+                      engine=engine)
+    profiler = Profiler(machine).attach()
+    machine.run()
+    return profiler.finish()
 
 
 def register(machine, number):

@@ -22,12 +22,18 @@ from hypothesis import strategies as st
 from repro.core.online import schedule_for_plan
 from repro.pipeline.context import EvaluationContext
 from repro.pipeline.keys import profile_fingerprint
-from repro.profile.profiler import profile_program
-from repro.sim.diffcheck import assert_source_equivalent, compare_engines
+from repro.sim.diffcheck import (
+    GOLDEN_CASE_ARRAY_WORDS,
+    GOLDEN_CASE_OUTER_ITERATIONS,
+    assert_source_equivalent,
+    compare_engines,
+    golden_names,
+)
 from repro.tech.nvsim_lite import energy_models_for
 from repro.workloads.kernels import kernel_names
 from repro.workloads.synthetic import mibench_names
 
+from conftest import profile_under
 from test_property_asm import (
     data_instruction,
     instruction_lines,
@@ -97,39 +103,38 @@ def test_case_study_access_stream_matches(context):
 
 
 def test_profiles_are_engine_invariant(context):
-    """The profiler's subscription forces granular mode, so the profile
-    fingerprint — which seeds every downstream artifact key — cannot
-    depend on the engine."""
-    build = context.kernel_build("bitcount")
-    reference = profile_program(build.program, engine="reference")
-    fast = profile_program(build.program, engine="fast")
-    assert profile_fingerprint(reference) == profile_fingerprint(fast)
+    """The profiler's subscription forces granular mode, so on every
+    golden workload the profile fingerprint — which seeds every
+    downstream artifact key, mapping snapshot included — equals the
+    reference step loop's."""
+    for name in golden_names():
+        if name == "case":
+            program, fast = context.case_study(
+                GOLDEN_CASE_ARRAY_WORDS, GOLDEN_CASE_OUTER_ITERATIONS)
+        else:
+            program = context.kernel_build(name.split(":", 1)[1]).program
+            fast = context.profile_of(program)
+        reference = profile_under(program, "reference")
+        assert profile_fingerprint(reference) == \
+            profile_fingerprint(fast), name
 
 
-def test_simulation_artifacts_and_keys_cross_engines():
-    """Two contexts pinned to different engines produce identical
-    simulation artifacts under identical keys, so a disk store written
-    by one engine replays for the other."""
-    results = {}
-    keys = {}
-    for engine in ("reference", "fast"):
-        context = EvaluationContext(engine=engine)
-        program, profile = context.case_study(96, 2)
-        results[engine] = context.simulation(program, profile, "ftspm")
-        keys[engine] = list(context.counters.simulated_keys)
-    assert keys["reference"] == keys["fast"]
-    assert results["reference"] == results["fast"]
+def test_synthetic_evaluations_are_engine_invariant(monkeypatch):
+    """MiBench-style workload models never reach a simulator, so no
+    engine can change their analytic evaluations."""
+    from repro.sim.machine import Machine
 
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a synthetic evaluation ran a Machine")
 
-def test_synthetic_evaluations_are_engine_invariant():
-    """MiBench-style workload models never reach a simulator, so their
-    analytic evaluations are identical whatever engine a context pins."""
+    monkeypatch.setattr(Machine, "run", no_simulation)
     name = mibench_names()[0]
     outcomes = []
-    for engine in ("reference", "fast"):
-        context = EvaluationContext(engine=engine)
+    for _ in range(2):
+        context = EvaluationContext()
         profile = context.synthetic_profile(name)
         evaluation = context.evaluation(profile, "ftspm")
+        assert context.counters.simulations == 0
         outcomes.append(dataclasses.asdict(evaluation))
     assert outcomes[0] == outcomes[1]
 

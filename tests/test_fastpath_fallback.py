@@ -16,7 +16,7 @@ from repro.config import baseline_sram_config
 from repro.pipeline.context import EvaluationContext
 from repro.core.online import schedule_for_plan
 from repro.isa import assemble
-from repro.sim.diffcheck import DiffReport, compare_engines, run_with_engine
+from repro.sim.diffcheck import DiffReport, compare_engines, run_on_engine
 from repro.sim.machine import TransferAction, TransferSchedule
 from repro.mem.hierarchy import DSPM_BASE
 from repro.tech.nvsim_lite import energy_models_for
@@ -83,8 +83,8 @@ def test_timed_dma_fires_mid_block(loop_program):
                              energy_models=energy_models_for(config))
     assert report.matches, report.explain()
     # The schedule must be observable, or this test proves nothing.
-    unscheduled = run_with_engine(loop_program, config, "reference")
-    scheduled = run_with_engine(loop_program, config, "reference",
+    unscheduled = run_on_engine(loop_program, config, "reference")
+    scheduled = run_on_engine(loop_program, config, "reference",
                                 schedule=schedule,
                                 energy_models=energy_models_for(config))
     assert unscheduled != scheduled
@@ -125,9 +125,9 @@ def test_mid_block_injection_handoff(context):
         machine.at_instruction(500, _flip_bit("stream_buffer", 3))
         machine.at_instruction(1500, _flip_bit("stream_buffer", 17))
 
-    clean = run_with_engine(build.program, config, "reference",
+    clean = run_on_engine(build.program, config, "reference",
                             schedule=schedule, energy_models=models)
-    injected = run_with_engine(build.program, config, "reference",
+    injected = run_on_engine(build.program, config, "reference",
                                schedule=schedule, energy_models=models,
                                setup=setup)
     assert clean != injected
@@ -160,8 +160,8 @@ def test_scrubbing_epochs_are_cycle_exact(loop_program):
     report = compare_engines(loop_program, config, setup=setup)
     assert report.matches, report.explain()
     # The stamps must land in memory, or cycle-exactness went untested.
-    plain = run_with_engine(loop_program, config, "reference")
-    stamped = run_with_engine(loop_program, config, "reference",
+    plain = run_on_engine(loop_program, config, "reference")
+    stamped = run_on_engine(loop_program, config, "reference",
                               setup=setup)
     assert plain["memory_sha256"] != stamped["memory_sha256"]
 
@@ -187,8 +187,8 @@ def test_exact_window_is_semantically_invisible(loop_program):
     """Windows only change *how* instructions retire, never the result:
     a windowed fast run equals an unwindowed reference run."""
     config = baseline_sram_config()
-    reference = run_with_engine(loop_program, config, "reference")
-    windowed = run_with_engine(
+    reference = run_on_engine(loop_program, config, "reference")
+    windowed = run_on_engine(
         loop_program, config, "fast",
         setup=lambda machine: machine.add_exact_window(100, 2000))
     report = DiffReport(reference, windowed)

@@ -59,10 +59,31 @@ def test_missing_entry_is_reported(tmp_path):
 
 @pytest.mark.parametrize("engine", ["reference", "fast"])
 def test_digests_match_committed_corpus(engine):
-    problems = check_golden(GOLDEN_DIR, engine=engine)
+    problems = check_golden(GOLDEN_DIR, engines=(engine,))
     assert not problems, (
         "golden digests changed (engine=%s):\n%s\n\n"
         "If the semantic change is intended, regenerate the corpus with "
         "`repro golden --update` and commit the result."
         % (engine,
            "\n".join("%s: %s" % item for item in sorted(problems.items()))))
+
+
+def test_cli_golden_checks_digests_under_both_engines(monkeypatch, capsys):
+    """`repro golden` re-simulates every placed workload under the
+    reference oracle that wrote the corpus *and* the fast engine every
+    run uses; profiling runs (empty schedule) do not count."""
+    from repro import cli
+    from repro.sim.machine import Machine
+
+    placed_runs = []
+    original = Machine.run
+
+    def counting_run(self, *args, **kwargs):
+        if self.schedule.actions:
+            placed_runs.append(self.engine)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", counting_run)
+    assert cli.main(["golden", "kernel:crc32"]) == 0
+    assert "golden corpus OK" in capsys.readouterr().out
+    assert sorted(placed_runs) == ["fast", "reference"]

@@ -80,11 +80,11 @@ def test_committed_schema_file_matches_module():
 def test_every_record_kind_validates(tmp_path, kind):
     ledger = _fake_ledger(tmp_path / "ledger.jsonl")
     entry = ledger.begin(kind, key="k" * 64,
-                         knobs={"engine": "fast"},
                          params={"trials": 10},
                          sampling="pcg64-chunked-v1")
     record = ledger.finish(entry, status="ok", stats={"trials": 10})
     validate_record(record)  # what finish() already enforced
+    assert "knobs" not in record
     assert record["schema"] == LEDGER_SCHEMA_VERSION
     assert record["kind"] == kind
     assert record["repo"] == "test-repo"
@@ -114,24 +114,13 @@ def test_schema_rejects_bad_records(tmp_path):
                                    {"injector": "batch"},
                                    {"engine": "fast", "injector": "trial"}])
 def test_schema_rejects_unresolved_knobs(tmp_path, knobs):
+    """A run has no execution knobs left to record, so new records
+    carrying any ``knobs`` field are refused (reads stay lenient)."""
     ledger = _fake_ledger(tmp_path / "ledger.jsonl")
-    with pytest.raises(LedgerError):
-        ledger.finish(ledger.begin("evaluation", knobs=knobs))
-    assert ledger.read() == []
-
-
-def test_ledger_options_seed_every_record(tmp_path):
-    from repro.config import RunOptions
-
-    clocks = FakeClocks()
-    ledger = RunLedger(str(tmp_path / "ledger.jsonl"), clock=clocks.clock,
-                       perf=clocks.perf, cpu=clocks.cpu, repo="test-repo",
-                       options=RunOptions(engine="reference"))
-    plain = ledger.finish(ledger.begin("evaluation"))
-    layered = ledger.finish(ledger.begin("campaign",
-                                         knobs={"engine": "fast"}))
-    assert plain["knobs"] == {"engine": "reference"}
-    assert layered["knobs"] == {"engine": "fast"}
+    record = ledger.finish(ledger.begin("evaluation"))
+    with pytest.raises(LedgerError, match="knobs"):
+        ledger.append(dict(record, knobs=knobs))
+    assert ledger.read() == [record]
 
 
 def test_injected_clocks_make_records_byte_stable(tmp_path):
@@ -140,7 +129,6 @@ def test_injected_clocks_make_records_byte_stable(tmp_path):
         ledger = _fake_ledger(path)
         for kind in RECORD_KINDS:
             entry = ledger.begin(kind, key="deadbeef",
-                                 knobs={"engine": "fast"},
                                  params={"trials": 7})
             ledger.finish(entry, stats={"trials": 7})
     first, second = (path.read_bytes() for path in paths)
@@ -364,7 +352,6 @@ def _seeded_cli_ledger(tmp_path):
     ids = []
     for trials in (100, 200):
         entry = ledger.begin("campaign", key="c" * 64,
-                             knobs={"engine": "fast"},
                              params={"trials": trials},
                              sampling="pcg64-chunked-v1")
         ids.append(ledger.finish(entry,
@@ -380,8 +367,8 @@ def test_runs_show_is_byte_identical(tmp_path, capsys):
                          "--ledger", path]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert '"fast"' in outputs[0]
-    assert "knobs.engine" in outputs[0]
+    assert '"campaign"' in outputs[0]
+    assert "params.trials" in outputs[0]
 
 
 def test_runs_list_and_since(tmp_path, capsys):
@@ -419,25 +406,31 @@ def test_runs_list_prints_started_as_utc_iso(tmp_path, capsys):
 
 
 def test_runs_read_parent_format_injector_knob(tmp_path, capsys):
-    """Ledgers written before the injector knob was retired still
-    list, show and compare: reading never re-validates old records."""
+    """Ledgers written while the engine and injector knobs existed
+    still list, show and compare: reading never re-validates old
+    records, and the schema version did not move."""
+    assert LEDGER_SCHEMA_VERSION == 1
     path, ids = _seeded_cli_ledger(tmp_path)
     lines = open(path).read().splitlines()
-    old = json.loads(lines[0])
-    old["knobs"]["injector"] = "batch"
-    lines[0] = json.dumps(old, sort_keys=True)
+    for index, knobs in enumerate(({"engine": "reference",
+                                    "injector": "batch"},
+                                   {"engine": "fast"})):
+        old = json.loads(lines[index])
+        old["knobs"] = knobs
+        lines[index] = json.dumps(old, sort_keys=True)
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
     assert cli.main(["runs", "list", "--ledger", path]) == 0
     table = capsys.readouterr().out
     assert ids[0] in table and ids[1] in table
     assert cli.main(["runs", "show", ids[0], "--ledger", path]) == 0
-    shown = capsys.readouterr().out.splitlines()
-    assert ["knobs.injector", '"batch"'] in [line.split()
-                                             for line in shown]
+    shown = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["knobs.engine", '"reference"'] in shown
+    assert ["knobs.injector", '"batch"'] in shown
     assert cli.main(["runs", "compare", ids[0], ids[1],
                      "--ledger", path, "--json"]) == 0
     diff = json.loads(capsys.readouterr().out)["diff"]
+    assert diff["knobs.engine"] == {"a": "reference", "b": "fast"}
     assert diff["knobs.injector"] == {"a": "batch", "b": None}
     assert diff["params.trials"]["delta"] == 100
 
@@ -452,7 +445,7 @@ def test_runs_compare_diffs_knobs_and_stats(tmp_path, capsys):
     assert diff["params.trials"] == {"a": 100, "b": 200, "delta": 100}
     assert diff["stats.trials"]["delta"] == 100
     # identity fields are skipped, identical fields don't appear
-    assert "id" not in diff and "knobs.engine" not in diff
+    assert "id" not in diff and "kind" not in diff
 
 
 def test_runs_errors(tmp_path, capsys):
@@ -491,8 +484,10 @@ def test_cli_ledger_flag_records_evaluation(tmp_path, capsys):
 
 def test_cli_campaign_ledger_records_effective_options(tmp_path, capsys,
                                                       monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    monkeypatch.delenv("REPRO_INJECTOR", raising=False)
+    """The effective run is its parameters: records carry no knobs,
+    whatever the retired environment variables say."""
+    monkeypatch.setenv("REPRO_ENGINE", "reference")
+    monkeypatch.setenv("REPRO_INJECTOR", "trial")
     path = str(tmp_path / "cli.jsonl")
     assert cli.main(["campaign", "case", "--trials", "20000",
                      "--no-progress", "--ledger", path]) == 0
@@ -500,26 +495,27 @@ def test_cli_campaign_ledger_records_effective_options(tmp_path, capsys,
     records = RunLedger(path).read()
     assert sorted(r["kind"] for r in records) == ["campaign", "evaluation"]
     for record in records:
-        assert record["knobs"] == {"engine": "fast"}
+        assert "knobs" not in record
+        assert record["params"]["trials"] == 20000
 
 
 def test_cli_ledger_records_explicit_flags(tmp_path, capsys):
     path = str(tmp_path / "cli.jsonl")
     assert cli.main(["campaign", "sha", "--trials", "600",
                      "--shard-size", "200", "--no-progress",
-                     "--engine", "reference",
-                     "--ledger", path]) == 0
+                     "--seed", "7", "--ledger", path]) == 0
     capsys.readouterr()
-    for record in RunLedger(path).read():
-        assert record["knobs"] == {"engine": "reference"}
+    [evaluation] = [record for record in RunLedger(path).read()
+                    if record["kind"] == "evaluation"]
+    assert evaluation["params"]["shard_size"] == 200
+    assert evaluation["params"]["seed"] == 7
 
 
-def test_service_campaign_job_records_context_engine(tmp_path):
+def test_service_campaign_job_records_carry_no_knobs(tmp_path):
     from repro.service.app import ReproService, job_key, normalize_params
 
     path = tmp_path / "service.jsonl"
-    service = ReproService(port=0, workers=1, engine="reference",
-                           ledger_path=str(path))
+    service = ReproService(port=0, workers=1, ledger_path=str(path))
     params = normalize_params("campaign", {
         "workload": "qsort", "trials": 600, "shard_size": 300})
     job = service.registry.create("campaign", params,
@@ -535,9 +531,7 @@ def test_service_campaign_job_records_context_engine(tmp_path):
     assert sorted(r["kind"] for r in records) == ["campaign",
                                                   "service-job"]
     for record in records:
-        # the profile came from the service context, which simulates
-        # under "reference"
-        assert record["knobs"] == {"engine": "reference"}
+        assert "knobs" not in record
 
 
 # --- service /v1/runs ---------------------------------------------------------

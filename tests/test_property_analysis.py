@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import profile_under
 from repro.analysis import build_static_profile
-from repro.profile import profile_program
 
 ENGINES = ("reference", "fast")
 
@@ -104,7 +104,7 @@ array:
 
 def assert_brackets(program, engine):
     static = build_static_profile(program)
-    dynamic = profile_program(program, engine=engine)
+    dynamic = profile_under(program, engine)
     for name, measured in dynamic.blocks.items():
         bounds = static.bounds_of(name)
         assert bounds.reads.contains(measured.reads), (

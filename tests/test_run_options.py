@@ -1,16 +1,16 @@
-"""RunOptions: the one place execution choices are resolved.
+"""Run-option guards: one simulation engine a run can reach.
 
-Contracts under test: ``RunOptions.resolve`` validates flag and
-environment values alike, resolves ``auto``, and yields a frozen value
-holding only resolved choices; no module in the package writes
-``os.environ`` and only ``RunOptions`` reads ``REPRO_ENGINE`` (the
-retired ``REPRO_INJECTOR`` is read nowhere); a ``Machine`` built
-without an engine honours ``REPRO_ENGINE``; and a pooled campaign
-leaves the environment alone.
+Contracts under test: ``Machine`` runs the fast engine unless it is
+built with ``engine="reference"``, accepts exactly those two names and
+never consults the environment; inside the package only
+``sim/diffcheck.py`` passes ``engine=`` when it builds a ``Machine``; no
+module names the retired ``REPRO_ENGINE``/``REPRO_INJECTOR`` variables
+or writes ``os.environ``; no subcommand accepts ``--engine``; and a
+pooled campaign leaves the environment alone.
 """
 
 import ast
-import dataclasses
+import inspect
 import os
 
 import pytest
@@ -18,14 +18,18 @@ import pytest
 from conftest import read_word
 from repro import Machine, assemble, baseline_sram_config
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.config import ENGINE_ENV, RunOptions
+from repro.cli import build_parser
 from repro.errors import ConfigurationError
+from repro.sim import ENGINES
 from repro.workloads import synthetic_profile
 
 PACKAGE_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                             "repro")
 
-KNOB_ENV_NAMES = {"REPRO_ENGINE", "REPRO_INJECTOR"}
+RETIRED_ENV_NAMES = ("REPRO_ENGINE", "REPRO_INJECTOR")
+
+#: the one module allowed to pick a Machine's engine: the oracle harness
+ENGINE_SELECTORS = ["sim/diffcheck.py"]
 
 _SOURCE = """
         .text
@@ -50,64 +54,61 @@ result: .word 0
 
 @pytest.fixture
 def clean_env(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
+    for name in RETIRED_ENV_NAMES:
+        monkeypatch.delenv(name, raising=False)
     return monkeypatch
 
 
-# --- resolution -------------------------------------------------------------
-
-def test_defaults_resolve_auto(clean_env):
-    assert RunOptions.resolve() == RunOptions(engine="fast")
-    assert RunOptions.resolve(engine="auto") == RunOptions(engine="fast")
-
-
-def test_flags_win_over_environment(clean_env):
-    clean_env.setenv(ENGINE_ENV, "fast")
-    assert RunOptions.resolve(engine="reference").engine == "reference"
-
-
-def test_environment_fills_unset_fields(clean_env):
-    clean_env.setenv(ENGINE_ENV, "Reference ")
-    assert RunOptions.resolve() == RunOptions(engine="reference")
-    # the retired injector variable is ignored, whatever it holds
-    clean_env.setenv("REPRO_INJECTOR", "warp")
-    assert RunOptions.resolve().engine == "reference"
-
+# --- the Machine's engine argument ------------------------------------------
 
 @pytest.mark.parametrize("kwargs", [{"engine": "turbo"},
                                     {"engine": "batch"},
                                     {"engine": "FAST"}])
-def test_flag_typos_rejected(clean_env, kwargs):
-    with pytest.raises(ConfigurationError, match="unknown"):
-        RunOptions.resolve(**kwargs)
+def test_flag_typos_rejected(kwargs):
+    with pytest.raises(ConfigurationError, match="unknown engine"):
+        Machine(assemble(_SOURCE), baseline_sram_config(), **kwargs)
 
 
-@pytest.mark.parametrize("env", [ENGINE_ENV])
-def test_environment_typos_rejected(clean_env, env):
-    clean_env.setenv(env, "bogus")
-    with pytest.raises(ConfigurationError, match=env):
-        RunOptions.resolve()
-
-
-def test_resolution_is_not_cached(clean_env):
-    clean_env.setenv(ENGINE_ENV, "reference")
-    assert RunOptions.resolve().engine == "reference"
-    clean_env.setenv(ENGINE_ENV, "fast")
-    assert RunOptions.resolve().engine == "fast"
+def test_flags_win_over_environment(clean_env):
+    """An explicit engine is the only selector: the retired variable
+    neither overrides it nor fills in the default."""
+    program = assemble(_SOURCE)
+    clean_env.setenv("REPRO_ENGINE", "fast")
+    assert Machine(program, baseline_sram_config(),
+                   engine="reference").engine == "reference"
+    clean_env.setenv("REPRO_ENGINE", "reference")
+    assert Machine(program, baseline_sram_config()).engine == "fast"
 
 
 def test_frozen_and_resolved_only():
-    options = RunOptions(engine="reference")
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        options.engine = "fast"
+    """The accepted set is fixed at the two resolved names; ``auto`` and
+    ``None`` no longer resolve to anything, and the default is the
+    literal ``"fast"``."""
+    assert ENGINES == ("reference", "fast")
+    default = inspect.signature(Machine).parameters["engine"].default
+    assert default == "fast"
+    program = assemble(_SOURCE)
     for engine in ("auto", None, "trial"):
         with pytest.raises(ConfigurationError):
-            RunOptions(engine=engine)
-    assert [field.name for field in dataclasses.fields(RunOptions)] == \
-        ["engine"]
+            Machine(program, baseline_sram_config(), engine=engine)
 
 
-# --- the package never writes the environment ------------------------------
+def test_machine_without_engine_ignores_environment(clean_env):
+    program = assemble(_SOURCE)
+    clean_env.setenv("REPRO_ENGINE", "reference")
+    fast = Machine(program, baseline_sram_config())
+    assert fast.engine == "fast"
+    fast.run()
+    assert fast._fastpath is not None  # the block engine ran
+    assert read_word(fast, "result") == 10
+
+    reference = Machine(program, baseline_sram_config(), engine="reference")
+    reference.run()
+    assert reference._fastpath is None  # the reference step loop ran
+    assert read_word(reference, "result") == 10
+
+
+# --- package-wide AST guards -------------------------------------------------
 
 def _modules():
     for directory, _, files in sorted(os.walk(PACKAGE_ROOT)):
@@ -115,7 +116,8 @@ def _modules():
             if name.endswith(".py"):
                 path = os.path.join(directory, name)
                 with open(path, encoding="utf-8") as handle:
-                    yield (os.path.relpath(path, PACKAGE_ROOT),
+                    relative = os.path.relpath(path, PACKAGE_ROOT)
+                    yield (relative.replace(os.sep, "/"),
                            ast.parse(handle.read(), filename=path))
 
 
@@ -148,22 +150,31 @@ def _environ_writes(tree):
                 yield node.lineno
 
 
-def _knob_env_reads(tree):
-    """Line numbers naming the knob variables, outside RunOptions."""
-    inside = set()
+def _retired_env_names(tree):
+    """Line numbers of any string constant naming a retired variable
+    (docstrings and messages included) or the old ``ENGINE_ENV``."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "RunOptions":
-            inside.update(id(child) for child in ast.walk(node))
-    for node in ast.walk(tree):
-        if id(node) in inside:
-            continue
-        if isinstance(node, ast.Constant) and node.value in KNOB_ENV_NAMES:
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and any(name in node.value for name in RETIRED_ENV_NAMES)):
             yield node.lineno
         name = (node.id if isinstance(node, ast.Name)
                 else node.attr if isinstance(node, ast.Attribute)
                 else None)
-        if name == "ENGINE_ENV" and isinstance(
-                getattr(node, "ctx", None), ast.Load):
+        if name == "ENGINE_ENV":
+            yield node.lineno
+
+
+def _engine_selections(tree):
+    """Line numbers of ``Machine(..., engine=...)`` constructions."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        callee = (func.id if isinstance(func, ast.Name)
+                  else func.attr if isinstance(func, ast.Attribute)
+                  else None)
+        if callee == "Machine" and any(keyword.arg == "engine"
+                                       for keyword in node.keywords):
             yield node.lineno
 
 
@@ -174,12 +185,17 @@ def test_no_module_writes_os_environ():
     assert not offenders, offenders
 
 
-def test_only_run_options_reads_knob_environment():
-    offenders = [(path, line)
+def test_no_module_names_knob_environment():
+    offenders = ["%s:%d" % (path, line)
                  for path, tree in _modules()
-                 for line in _knob_env_reads(tree)]
-    # the only hit is config.py's module-level name constant
-    assert [path for path, _ in offenders] == ["config.py"], offenders
+                 for line in _retired_env_names(tree)]
+    assert not offenders, offenders
+
+
+def test_only_diffcheck_selects_a_machine_engine():
+    selectors = sorted({path for path, tree in _modules()
+                        if any(_engine_selections(tree))})
+    assert selectors == ENGINE_SELECTORS
 
 
 def test_scanner_flags_writes_and_reads():
@@ -188,28 +204,65 @@ def test_scanner_flags_writes_and_reads():
         "os.environ['REPRO_ENGINE'] = 'fast'\n"
         "os.environ.pop('X', None)\n"
         "del os.environ['Y']\n"
-        "value = os.environ.get(ENGINE_ENV)\n")
+        "value = os.environ.get(ENGINE_ENV)\n"
+        "Machine(program, config, engine='reference')\n"
+        "sim.Machine(program, config, engine=name)\n"
+        "Machine(program, config)\n"
+        "'''set REPRO_INJECTOR to pick one'''\n")
     assert sorted(_environ_writes(tree)) == [2, 3, 4]
-    assert sorted(_knob_env_reads(tree)) == [2, 5]
+    assert sorted(_retired_env_names(tree)) == [2, 5, 9]
+    assert sorted(_engine_selections(tree)) == [6, 7]
 
 
-# --- the resolved engine reaches the machine ------------------------------
+# --- the CLI has no engine flag ----------------------------------------------
 
-def test_machine_without_engine_honours_environment(clean_env):
-    program = assemble(_SOURCE)
-    clean_env.setenv(ENGINE_ENV, "reference")
-    machine = Machine(program, baseline_sram_config())
-    assert machine.engine == "reference"
-    machine.run()
-    assert machine._fastpath is None  # the reference step loop ran
-    assert read_word(machine, "result") == 10
+#: a minimal valid invocation of every subcommand
+SUBCOMMAND_ARGV = {
+    "list": ["list"],
+    "experiments": ["experiments"],
+    "report": ["report"],
+    "golden": ["golden"],
+    "diff": ["diff"],
+    "profile": ["profile", "sha"],
+    "lint": ["lint", "case"],
+    "devlint": ["devlint"],
+    "map": ["map", "sha"],
+    "run": ["run", "case"],
+    "inject": ["inject", "sha"],
+    "campaign": ["campaign", "sha"],
+    "serve": ["serve"],
+    "submit": ["submit", "campaign", "sha"],
+    "runs": ["runs", "list"],
+    "disasm": ["disasm", "case"],
+    "trace": ["trace", "case"],
+}
 
-    clean_env.delenv(ENGINE_ENV)
-    fast = Machine(program, baseline_sram_config())
-    assert fast.engine == "fast"
-    fast.run()
-    assert fast._fastpath is not None
-    assert read_word(fast, "result") == 10
+
+def _subcommands(parser):
+    for action in parser._actions:
+        if action.choices and action.dest == "command":
+            return sorted(action.choices)
+    raise AssertionError("no subcommand table")
+
+
+def test_engine_flag_table_covers_every_subcommand():
+    parser = build_parser()
+    assert _subcommands(parser) == sorted(SUBCOMMAND_ARGV)
+    for argv in SUBCOMMAND_ARGV.values():
+        parser.parse_args(argv)  # each base invocation is valid
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv + ["--engine", "fast"] for argv in SUBCOMMAND_ARGV.values()]
+    + [["diff", "--workload", "case", "--%s-engine" % side, "reference"]
+       for side in ("a", "b")],
+    ids=list(SUBCOMMAND_ARGV) + ["diff-a-engine", "diff-b-engine"])
+def test_every_subcommand_rejects_engine_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        build_parser().parse_args(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # --- campaigns never touch the environment ---------------------------------
