@@ -11,8 +11,7 @@ utilizations, per-region accounting in the spirit of ALADDIN's
 ``Scratchpad`` partitions — and every shard's trials are then sampled
 and classified in whole-array NumPy passes:
 
-* :mod:`~repro.campaign.batch.surface` — the SoA strike surface and the
-  golden-execution timeline (residency + ACE windows per block),
+* :mod:`~repro.campaign.batch.surface` — the SoA strike surface,
 * :mod:`~repro.campaign.batch.sampler` — the canonical per-shard draw
   discipline: strike points, ACE draws, MBU multiplicities, and
   clustered bit positions, all drawn as arrays from one seeded PCG64

@@ -5,9 +5,12 @@ Layout of a campaign run directory::
     <run_dir>/manifest.json    campaign identity (spec + fingerprint)
     <run_dir>/shards.jsonl     one JSON record per finished shard attempt
 
+``manifest.json`` is replaced atomically, so a kill during
+:meth:`RunDirectory.prepare` leaves either no manifest or a whole one.
 ``shards.jsonl`` is append-only and fsynced per record, so a campaign
 killed at any instant loses at most the shard that was in flight; a
-truncated trailing line (the kill landed mid-write) is ignored on load.
+truncated trailing line (the kill landed mid-write) is ignored on load,
+and the next record starts on a fresh line (:mod:`repro.durable`).
 Resuming validates the manifest fingerprint against the requested spec —
 a checkpoint can only ever be completed by the exact campaign that
 started it.
@@ -18,9 +21,9 @@ from __future__ import annotations
 import json
 import os
 
+from ..durable import append_line, atomic_write
 from ..errors import CampaignError
 from .seeding import SAMPLING_DISCIPLINE
-from .spec import CampaignSpec
 
 MANIFEST_NAME = "manifest.json"
 SHARDS_NAME = "shards.jsonl"
@@ -86,9 +89,8 @@ class RunDirectory:
             "sampling": SAMPLING_DISCIPLINE,
             "spec": spec.to_manifest(),
         }
-        with open(self.manifest_path, "w") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        atomic_write(self.manifest_path, text.encode("utf-8"))
 
     def load_manifest(self):
         try:
@@ -99,19 +101,12 @@ class RunDirectory:
                 "cannot read campaign manifest %r: %s"
                 % (self.manifest_path, error)) from None
 
-    def load_spec(self):
-        """Rebuild the spec a checkpoint was started with."""
-        return CampaignSpec.from_manifest(self.load_manifest()["spec"])
-
     # --- shard journal ----------------------------------------------------------
 
     def append_shard(self, record):
         """Durably append one shard record (fsynced before returning)."""
         line = json.dumps(record, sort_keys=True)
-        with open(self.shards_path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_line(self.shards_path, line)
 
     def load_shards(self):
         """{shard_index: record} of every parseable record (last wins)."""

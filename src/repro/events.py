@@ -1,20 +1,16 @@
 """The access-event bus: one typed event stream for all instrumentation.
 
-Historically every consumer wired itself up differently: the profiler
-registered a memory-system observer *and* appended a CPU call listener,
-the trace recorder registered another observer with its own positional
-callback signature, and energy/ACE accounting lived inside ad-hoc hooks.
-This module replaces that with a single :class:`EventBus` carried by
-:class:`~repro.mem.hierarchy.MemorySystem` and shared by
+Every consumer observes the simulator through a single :class:`EventBus`
+carried by :class:`~repro.mem.hierarchy.MemorySystem` and shared by
 :class:`~repro.sim.machine.Machine`:
 
 * the memory system publishes one :class:`AccessEvent` per routed
   architectural access (fetch, read, or write),
 * the CPU publishes one :class:`CallEvent` per executed ``bl``,
-* any number of subscribers — profiler, trace recorder, energy ledger,
-  ACE tracker — receive the same stream, uniformly, in subscription
-  order.  Subscribers never interact, so their outputs are independent
-  of subscription order (tested).
+* any number of subscribers — profiler (which feeds ACE tracking),
+  trace recorder, energy ledger — receive the same stream, uniformly,
+  in subscription order.  Subscribers never interact, so their outputs
+  are independent of subscription order (tested).
 
 A subscriber is any callable taking the event; :class:`EventSubscriber`
 is an optional base class that dispatches to ``on_access``/``on_call``
@@ -190,24 +186,3 @@ class EnergyLedger(EventSubscriber):
     def energy_of(self, device_name):
         return self.energy_by_device.get(device_name, 0.0)
 
-
-class LegacyObserverAdapter:
-    """Wraps a positional-callback observer as a bus subscriber.
-
-    Preserves the historical ``MemorySystem.add_observer`` signature —
-    ``callback(access_type, address, size, is_write, device_name,
-    cycles)`` — on top of the typed stream.  Call events are filtered
-    out, as legacy observers never saw them.
-    """
-
-    def __init__(self, callback):
-        from .mem.hierarchy import AccessType
-        self._access_type = AccessType
-        self.callback = callback
-
-    def __call__(self, event):
-        if isinstance(event, AccessEvent):
-            access_type = (self._access_type.FETCH if event.is_fetch
-                           else self._access_type.DATA)
-            self.callback(access_type, event.address, event.size,
-                          event.is_write, event.device_name, event.cycles)

@@ -20,10 +20,10 @@ wall-clock readings in — devlint's ``wallclock-to-sink`` rule stays
 clean because the only clock reads feeding the ledger happen inside
 ``repro.obs``, the one package sanctioned to own the clock.
 
-Appends are crash- and concurrency-safe the same way the campaign
-shard journal is: one ``O_APPEND`` write of one sorted-key JSON line,
-flushed and fsynced, so racing processes interleave whole lines and a
-torn tail line is skipped on read.
+Appends go through :func:`repro.durable.append_line`, as the campaign
+shard journal's do: one ``O_APPEND`` write of one sorted-key JSON line,
+fsynced, so racing processes interleave whole lines, a torn tail line
+is skipped on read, and the next record starts on a fresh line.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import os
 import subprocess
 import time
 
+from ..durable import append_line
 from ..errors import ReproError
 
 #: bump when the record shape changes incompatibly
@@ -268,10 +269,7 @@ class RunLedger:
         """Durably append one validated record (fsynced, one write)."""
         validate_record(record)
         line = json.dumps(record, sort_keys=True)
-        with open(self.path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_line(self.path, line)
 
     # --- reading -------------------------------------------------------------
 

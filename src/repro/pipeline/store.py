@@ -2,10 +2,10 @@
 
 A tiny content-addressed object store: artifacts are pickled under
 ``<root>/<key[:2]>/<key>.pkl`` where ``key`` is the SHA-256 artifact
-key from :mod:`repro.pipeline.keys`.  Writes are atomic (temp file +
-rename), so a crashed or concurrent writer can never leave a torn
-artifact; reads treat any unreadable entry as a miss (the artifact is
-simply recomputed and rewritten).
+key from :mod:`repro.pipeline.keys`.  Writes are atomic and fsynced
+(:func:`repro.durable.atomic_write`), so a crashed or concurrent writer
+can never leave a torn artifact; reads treat any unreadable entry as a
+miss (the artifact is simply recomputed and rewritten).
 
 The store never invalidates: keys are content hashes salted with the
 pipeline schema version, so a stale entry is unreachable, not wrong.
@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 
 from .. import obs
+from ..durable import atomic_write
 
 _MISS = object()
 
@@ -64,19 +64,8 @@ class ArtifactStore:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with obs.span("store.put", category="pipeline",
                       attrs={"key": key[:12]}):
-            handle = tempfile.NamedTemporaryFile(
-                mode="wb", dir=os.path.dirname(path), delete=False)
-            try:
-                with handle:
-                    pickle.dump(value, handle,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(handle.name, path)
-            except BaseException:
-                try:
-                    os.unlink(handle.name)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, pickle.dumps(
+                value, protocol=pickle.HIGHEST_PROTOCOL))
         self.writes += 1
         obs.inc("artifact_store_writes_total",
                 help="disk artifacts persisted")

@@ -10,14 +10,16 @@ for every program block (function, data object, stack):
 
 plus the ACE (architecturally correct execution) time used by the AVF
 reliability model.  :func:`profile_program` runs the program once on a
-profiling platform and returns a :class:`Profile`.
+profiling platform and returns a :class:`Profile`.  :class:`Profiler`,
+a subscriber on the running machine's event bus, is the one profiler;
+its ACE windows, including the write-tail closure at halt, come from
+:class:`~repro.faults.ace.AceTracker`.
 """
 
 from .blocks import BlockKind, ProgramBlock, enumerate_blocks, STACK_BLOCK_NAME
 from .bounds import BlockAccessBounds, CountBounds, StaticProfile
 from .profiler import BlockStats, Profile, Profiler, profile_program
 from .report import format_profile_table
-from .trace_profile import profile_from_trace
 
 __all__ = [
     "BlockKind",
@@ -31,6 +33,5 @@ __all__ = [
     "Profiler",
     "StaticProfile",
     "profile_program",
-    "profile_from_trace",
     "format_profile_table",
 ]

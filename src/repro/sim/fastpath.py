@@ -23,12 +23,9 @@ per-cycle overhead:
   to nobody — and switches to a **granular** per-instruction mode (same
   closures, exact ``at_cycle`` stamps) the moment a profiler, trace
   recorder, or energy ledger subscribes,
-* the engine **falls back to the reference step loop** whenever exact
-  per-cycle interleaving matters: around instruction-count (timed) DMA
-  triggers, registered instruction hooks, declared exact windows (see
-  :meth:`Machine.add_exact_window` — the seam fault injection and
-  scrubbing epochs use), and when the instruction limit could be crossed
-  inside a block.
+* the engine **hands a block to the reference step loop**, one
+  instruction at a time, only when a due instruction-count (timed) DMA
+  action or the instruction limit falls inside it.
 
 Equivalence contract: for any program, config, and schedule, running
 under this engine produces byte-identical architectural state, cycle
@@ -149,15 +146,14 @@ class FastEngine:
 
     def run(self, max_instructions):
         """Run to halt, mirroring the reference loop's check order:
-        instruction limit, exit address, PC triggers, timed triggers,
-        hooks — then a whole block (or one reference step)."""
+        instruction limit, exit address, PC triggers, timed triggers —
+        then a whole block (or one reference step)."""
         machine = self.machine
         cpu = self.cpu
         stats = self.stats
         regs = self.regs
         blocks = self._blocks
         events = self.events
-        call_listeners = cpu.call_listeners
         while not cpu.halted:
             if stats.instructions >= max_instructions:
                 raise ExecutionLimitExceeded(
@@ -171,8 +167,6 @@ class FastEngine:
                 machine._check_triggers(pc)
             if machine._timed:
                 machine._check_timed_triggers()
-            if machine._hooks:
-                machine._check_hooks()
             block = blocks.get(pc)
             if block is None:
                 block = self._build_block(pc)
@@ -182,18 +176,13 @@ class FastEngine:
                 continue
             n = block.n
             if (stats.instructions + n > max_instructions
-                    or self._timed_due_within(n)
-                    or (machine._hooks
-                        and machine._hooks[0][0]
-                        <= stats.instructions + n - 1)
-                    or (machine._exact_windows
-                        and self._window_overlaps(n))):
-                # Exact per-cycle interleaving matters somewhere inside
+                    or self._timed_due_within(n)):
+                # A timed DMA action or the instruction limit falls inside
                 # this block: hand one instruction to the reference loop
                 # and re-evaluate.
                 machine.step()
                 continue
-            if events._subscribers or call_listeners:
+            if events._subscribers:
                 self._run_granular(block)
             else:
                 self._run_batched(block)
@@ -207,14 +196,6 @@ class FastEngine:
         return (index < len(timed)
                 and timed[index].trigger_instruction
                 <= self.stats.instructions + n - 1)
-
-    def _window_overlaps(self, n):
-        first = self.stats.instructions
-        last = first + n - 1
-        for start, end in self.machine._exact_windows:
-            if start <= last and end > first:
-                return True
-        return False
 
     # --- block construction ---------------------------------------------------
 
@@ -755,7 +736,6 @@ class FastEngine:
                 return 2
             return op
         events = self.cpu.events
-        call_listeners = self.cpu.call_listeners
 
         def op():  # BL
             stats.branches += 1
@@ -763,8 +743,6 @@ class FastEngine:
             regs[LR] = np
             if events is not None:
                 events.publish_call(raw_target)
-            for listener in call_listeners:
-                listener(raw_target)
             regs[PC] = target
             return 2
         return op

@@ -109,11 +109,12 @@ class Machine:
     """A complete simulated platform executing one program.
 
     :meth:`run` executes on the predecoded basic-block engine
-    (:class:`~repro.sim.fastpath.FastEngine`), which falls back to the
-    per-cycle step loop below wherever exact per-cycle interleaving
-    matters.  ``engine="reference"`` runs the step loop throughout; it
-    is the oracle :mod:`repro.sim.diffcheck` locks the fast engine to,
-    byte for byte, and nothing else selects it.
+    (:class:`~repro.sim.fastpath.FastEngine`), which hands a block to
+    the per-cycle step loop below only when a due timed DMA action or
+    the instruction limit falls inside it.  ``engine="reference"`` runs
+    the step loop throughout; it is the oracle :mod:`repro.sim.diffcheck`
+    locks the fast engine to, byte for byte, and nothing else selects
+    it.
     """
 
     def __init__(self, program, config, energy_models=None, schedule=None,
@@ -138,8 +139,6 @@ class Machine:
         self._timed = self.schedule.timed_actions()
         self._timed_index = 0
         self._fastpath = None
-        self._hooks = []  # sorted (instruction_count, callback) pairs
-        self._exact_windows = []  # (start, end) instruction-count ranges
         self._load_program()
         self._reset_cpu()
 
@@ -188,31 +187,6 @@ class Machine:
                                     access_type=AccessType.FETCH)
         return result.cycles
 
-    # --- instrumentation hooks ---------------------------------------------------
-
-    def at_instruction(self, count, callback):
-        """Invoke ``callback(machine)`` once, immediately before the
-        instruction with dynamic index ``count`` executes (i.e. when the
-        retired-instruction counter reaches ``count``).  The fault
-        injector and scrubbing models use this to act at exact points in
-        the dynamic stream; the fast engine falls back to the reference
-        loop around due hooks so firing points are engine-invariant."""
-        self._hooks.append((count, callback))
-        self._hooks.sort(key=lambda hook: hook[0])
-
-    def add_exact_window(self, start, end):
-        """Declare that instructions with dynamic indices in
-        ``[start, end)`` need exact per-cycle execution (the fast engine
-        single-steps them through the reference loop).  Harmless under
-        the reference engine, which is always exact."""
-        self._exact_windows.append((start, end))
-
-    def _check_hooks(self):
-        while (self._hooks
-               and self._hooks[0][0] <= self.cpu.stats.instructions):
-            _, callback = self._hooks.pop(0)
-            callback(self)
-
     # --- execution -------------------------------------------------------------------
 
     def step(self):
@@ -224,8 +198,6 @@ class Machine:
             return False
         self._check_triggers(pc)
         self._check_timed_triggers()
-        if self._hooks:
-            self._check_hooks()
         instruction = self.program.instruction_at(pc)
         if instruction is None:
             raise IllegalInstructionError(

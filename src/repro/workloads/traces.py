@@ -3,7 +3,7 @@
 FaCSim-style trace-driven evaluation: a :class:`TraceRecorder` attached
 to a machine captures every architectural access as a compact record;
 traces can be persisted to a simple line format and replayed against any
-:class:`~repro.mem.hierarchy.MemorySystem` (or profiled) without
+:class:`~repro.mem.hierarchy.MemorySystem` without
 re-executing the CPU — useful for sweeping memory configurations over a
 workload captured once.
 

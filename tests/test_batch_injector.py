@@ -38,7 +38,6 @@ from repro.campaign.batch.surface import (
     PROT_NONE,
     PROT_PARITY,
     PROT_SECDED,
-    GoldenTimeline,
     StrikeSurface,
 )
 from repro.config import Protection
@@ -165,22 +164,6 @@ def test_surface_fault_free_fraction():
     # fault-free by definition, empty space too)
     expected = 1.0 - (2048 * 0.5 + 2048 * 0.6 + 1024 * 0.3) / 16384
     assert surface.fault_free_fraction() == pytest.approx(expected)
-
-
-def test_golden_timeline_roundtrip():
-    profile = synthetic_profile("sha")
-    from repro.pipeline import get_context
-
-    _, plan, _ = get_context().plan(profile, "ftspm")
-    timeline = GoldenTimeline.from_profile(profile, plan)
-    assert timeline.total_cycles == profile.total_cycles
-    assert len(timeline.names) == len(plan.avf_entries(profile))
-    fractions = timeline.ace_fractions()
-    assert np.all(fractions >= 0.0) and np.all(fractions <= 1.0)
-    assert np.all(timeline.residency_fractions() <= 1.0)
-    surface = timeline.to_surface(plan.total_spm_bytes())
-    assert surface.occupied_bytes <= surface.total_spm_bytes
-    assert set(surface.names) == set(timeline.names)
 
 
 # --- codec-equivalence property tests ---------------------------------------

@@ -332,6 +332,62 @@ def test_truncated_journal_line_is_ignored(tmp_path, sha_spec,
         range(sha_spec.shard_count))
 
 
+def test_append_after_torn_journal_line_keeps_record(tmp_path):
+    directory = RunDirectory(str(tmp_path))
+    directory.append_shard({"shard": 0, "status": "ok"})
+    with open(directory.shards_path, "a") as handle:
+        handle.write('{"shard": 1, "status": "o')  # kill mid-write
+    directory.append_shard({"shard": 2, "status": "ok"})
+    assert sorted(directory.load_shards()) == [0, 2]
+
+
+class _TornWriter:
+    """File proxy whose first write stores half its bytes, then fails
+    the way a full disk or a kill mid-write would."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        self._handle.write(data[:len(data) // 2])
+        self._handle.flush()
+        raise OSError("simulated failure mid-write")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+@pytest.mark.parametrize("resume", [False, True])
+def test_manifest_write_failing_midway_leaves_run_startable(
+        tmp_path, monkeypatch, sha_spec, sha_reference, resume):
+    import builtins
+    import io
+
+    real_open = io.open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        return _TornWriter(handle) if "w" in mode else handle
+
+    run_dir = str(tmp_path / "run")
+    directory = RunDirectory(run_dir)
+    with monkeypatch.context() as patch:
+        patch.setattr(io, "open", torn_open)
+        patch.setattr(builtins, "open", torn_open)
+        with pytest.raises(OSError, match="simulated"):
+            directory.prepare(sha_spec)
+    summary = CampaignRunner(sha_spec, jobs=1, run_dir=run_dir,
+                             resume=resume).run()
+    assert canonical(summary.result) == canonical(sha_reference.result)
+    assert directory.load_manifest()["fingerprint"] == sha_spec.fingerprint()
+
+
 # --- failure handling --------------------------------------------------------
 
 def test_permanent_shard_failure_reports_partial(sha_spec, sha_reference,

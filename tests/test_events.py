@@ -1,14 +1,14 @@
-"""The access-event bus: dispatch, legacy adapters, order invariance.
+"""The access-event bus: dispatch, energy ledger, order invariance.
 
 The contract under test: one simulation pass publishes one typed stream
-that every consumer (profiler, trace recorder, energy ledger, ACE
-tracker) reads uniformly, and no consumer's output depends on where in
-the subscription order it sits.
+that every consumer (profiler with its ACE tracking, trace recorder,
+energy ledger) reads uniformly, and no consumer's output depends on
+where in the subscription order it sits.
 """
 
 import pytest
 
-from repro import Machine, assemble, baseline_sram_config, ftspm_config
+from repro import Machine, assemble, baseline_sram_config
 from repro.events import (
     AccessEvent,
     CallEvent,
@@ -17,7 +17,6 @@ from repro.events import (
     EventKind,
     EventSubscriber,
 )
-from repro.mem.hierarchy import AccessType, MemorySystem
 from repro.pipeline import profile_fingerprint
 from repro.profile.profiler import Profiler
 from repro.workloads.case_study import case_study_program
@@ -128,21 +127,6 @@ def test_energy_ledger_matches_device_accounting():
     # (line-fill traffic is charged to DRAM, not to cache access events)
     assert ledger.energy_of("l1-cache") == pytest.approx(
         machine.memory.cache.stats.accesses_stats.dynamic_energy)
-
-
-def test_legacy_observer_signature_preserved():
-    memory = MemorySystem(ftspm_config())
-    seen = []
-
-    def observer(access_type, address, size, is_write, device_name, cycles):
-        seen.append((access_type, address, size, is_write, device_name))
-
-    memory.add_observer(observer)
-    memory.access(0x1000, 4, True, access_type=AccessType.DATA)
-    assert seen == [(AccessType.DATA, 0x1000, 4, True, "l1-cache")]
-    memory.remove_observer(observer)
-    memory.access(0x1000, 4, False)
-    assert len(seen) == 1
 
 
 # --- order invariance ---------------------------------------------------------

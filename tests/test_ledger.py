@@ -161,6 +161,16 @@ def test_read_skips_torn_tail_line(tmp_path):
     assert [r["id"] for r in ledger.read()] == [record["id"]]
 
 
+def test_append_after_torn_tail_keeps_record(tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    ledger = _fake_ledger(path)
+    first = ledger.finish(ledger.begin("evaluation"))
+    with open(path, "a") as handle:
+        handle.write('{"schema": 1, "id": "r-torn')  # crash mid-append
+    second = ledger.finish(ledger.begin("evaluation"))
+    assert [r["id"] for r in ledger.read()] == [first["id"], second["id"]]
+
+
 def test_parse_since_forms():
     assert parse_since("1722470400") == 1722470400.0
     assert parse_since("30m", now=lambda: 10_000.0) == 10_000.0 - 1800

@@ -138,30 +138,21 @@ def test_remap_target_must_fit_spm(memory):
 
 def test_observer_sees_all_accesses(memory):
     seen = []
-    memory.add_observer(
-        lambda *args: seen.append(args))
+    memory.events.subscribe(seen.append)
     memory.access(0x1000, 4, False, access_type=AccessType.FETCH)
     memory.access(0x2000, 4, True, value=5)
     assert len(seen) == 2
-    assert seen[0][0] is AccessType.FETCH
-    assert seen[1][3] is True  # is_write
+    assert seen[0].is_fetch
+    assert seen[1].is_write
 
 
 def test_observer_gets_home_address_not_spm_address(memory):
     memory.install_remap(0x4000, 64, DSPM_BASE)
     seen = []
-    memory.add_observer(lambda *args: seen.append(args))
+    memory.events.subscribe(seen.append)
     memory.access(0x4010, 4, False)
-    assert seen[0][1] == 0x4010
-
-
-def test_remove_observer(memory):
-    seen = []
-    observer = lambda *args: seen.append(args)
-    memory.add_observer(observer)
-    memory.remove_observer(observer)
-    memory.access(0x1000, 4, False)
-    assert not seen
+    assert seen[0].address == 0x4010
+    assert seen[0].device_name.startswith("dspm")
 
 
 def test_peek_poke_follow_remap(memory):

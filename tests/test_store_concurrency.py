@@ -104,3 +104,20 @@ def test_put_overwrites_in_place(tmp_path):
     store.put(KEY, {"writer": 1, "words": [1]})
     assert store.get(KEY)["writer"] == 1
     assert len(store) == 1
+
+
+def test_put_fsyncs_file_and_directory(tmp_path, monkeypatch):
+    synced = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        synced.append(os.path.realpath("/proc/self/fd/%d" % fd))
+        real_fsync(fd)
+
+    store = ArtifactStore(str(tmp_path / "store"))
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    store.put(KEY, {"writer": 0, "words": [0]})
+    shard_dir = os.path.realpath(os.path.join(store.root, KEY[:2]))
+    assert len(synced) == 2
+    assert os.path.dirname(synced[0]) == shard_dir  # the temp file
+    assert synced[1] == shard_dir
