@@ -48,7 +48,7 @@ def _bare_run():
     machine = _machine()
     machine.apply_static_schedule()
     start = time.perf_counter()
-    machine._fast_engine().run(DEFAULT_INSTRUCTION_LIMIT)
+    machine._fast_engine().run(machine, DEFAULT_INSTRUCTION_LIMIT)
     return time.perf_counter() - start
 
 

@@ -12,6 +12,16 @@ carried by :class:`~repro.mem.hierarchy.MemorySystem` and shared by
   in subscription order.  Subscribers never interact, so their outputs
   are independent of subscription order (tested).
 
+A subscriber with a ``fetch_run(address, n, first_cycle, last_cycle,
+min_sp)`` method also accepts instruction fetches one straight-line run
+at a time: ``n`` fetches from ``address`` up, the first at
+``first_cycle`` and the last at ``last_cycle``, with ``min_sp`` the
+lowest stack pointer seen before any of them.  While *every* subscriber
+accepts runs (:attr:`EventBus.fetch_runs`), the fast engine delivers a
+basic block's fetches as one :meth:`EventBus.publish_fetch_run` instead
+of one FETCH event per instruction; data accesses and calls still
+publish per event.
+
 A subscriber is any callable taking the event; :class:`EventSubscriber`
 is an optional base class that dispatches to ``on_access``/``on_call``
 by event type.  One simulation pass feeds every consumer.
@@ -88,16 +98,27 @@ class EventBus:
     def __init__(self, clock=None):
         self.clock = clock or (lambda: 0)
         self._subscribers = []
+        #: the subscribers' ``fetch_run`` methods when every subscriber
+        #: has one, else None (no subscribers, or one that wants each
+        #: FETCH event)
+        self.fetch_runs = None
 
     # --- wiring ------------------------------------------------------------
 
     def subscribe(self, handler):
         """Register ``handler(event)``; returns the handler for chaining."""
         self._subscribers.append(handler)
+        self._refresh_fetch_runs()
         return handler
 
     def unsubscribe(self, handler):
         self._subscribers.remove(handler)
+        self._refresh_fetch_runs()
+
+    def _refresh_fetch_runs(self):
+        runs = [getattr(handler, "fetch_run", None)
+                for handler in self._subscribers]
+        self.fetch_runs = tuple(runs) if runs and None not in runs else None
 
     def is_subscribed(self, handler):
         return handler in self._subscribers
@@ -126,6 +147,13 @@ class EventBus:
         for handler in self._subscribers:
             handler(event)
         return event
+
+    def publish_fetch_run(self, address, n, first_cycle, last_cycle,
+                          min_sp):
+        """Deliver ``n`` instruction fetches as one run (see the module
+        docstring); only valid while :attr:`fetch_runs` is set."""
+        for fetch_run in self.fetch_runs:
+            fetch_run(address, n, first_cycle, last_cycle, min_sp)
 
     def publish_call(self, target):
         """Build and publish one :class:`CallEvent`, stamped now."""

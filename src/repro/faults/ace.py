@@ -15,9 +15,10 @@ class AceTracker:
     """Accumulates per-block ACE cycles from touch timestamps.
 
     Call :meth:`record` with the block name, the current cycle, and
-    whether the touch is a write.  A read ends the open vulnerability
-    window and banks the gap since the previous touch; a write (re)opens
-    the window without banking.  At end-of-simulation, :meth:`finish`
+    whether the touch is a write, or :meth:`record_reads` for a run of
+    reads.  A read ends the open vulnerability window and banks the gap
+    since the previous touch; a write (re)opens the window without
+    banking.  At end-of-simulation, :meth:`finish`
     closes windows still opened by a write: data written and never read
     back survives in memory until halt, so a strike anywhere in that
     tail interval corrupts architecturally visible state.  Without the
@@ -32,12 +33,29 @@ class AceTracker:
 
     def record(self, name, now, is_write):
         """Account one touch of ``name`` at cycle ``now``."""
-        last = self._last_touch.get(name)
-        if not is_write and last is not None:
+        if is_write:
+            self._last_touch[name] = now
+            self._open_write[name] = True
+        else:
+            self.record_reads(name, 1, now, now)
+
+    def record_reads(self, name, n, first, last):
+        """Account ``n`` reads of ``name`` at non-decreasing cycles from
+        ``first`` to ``last``.
+
+        Read gaps telescope: the run banks ``last`` minus the previous
+        touch (or minus ``first`` when the run is the block's first
+        touch), exactly what ``n`` single reads would bank.
+        """
+        previous = self._last_touch.get(name)
+        if previous is None:
+            previous = first
+            n -= 1  # the very first touch has no gap to bank
+        if n:
             self.ace_cycles[name] = (
-                self.ace_cycles.get(name, 0) + now - last)
-        self._last_touch[name] = now
-        self._open_write[name] = is_write
+                self.ace_cycles.get(name, 0) + last - previous)
+        self._last_touch[name] = last
+        self._open_write[name] = False
 
     def finish(self, now):
         """Close write-opened windows at end-of-simulation cycle ``now``.

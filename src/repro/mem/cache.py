@@ -89,18 +89,7 @@ class Cache:
         Returns an :class:`AccessResult` whose cycles include any line fill
         or write-back that the access triggered.
         """
-        self._tick += 1
-        set_index, tag = self._locate(address)
-        lines = self._sets[set_index]
-        cycles = self.latency
-        line = self._find(lines, tag)
-        if line is None:
-            self.stats.misses += 1
-            line, penalty = self._fill(lines, tag)
-            cycles += penalty
-        else:
-            self.stats.hits += 1
-        line.lru = self._tick
+        line, cycles = self._reference(address)
         if is_write:
             line.dirty = True
             self.backing.poke_bytes(
@@ -116,6 +105,36 @@ class Cache:
             self.stats.accesses_stats.record_read(size, cycles, energy)
         return AccessResult(value=read_value, cycles=cycles,
                             device_name=self.name, energy=energy)
+
+    def fetch(self, address, size):
+        """Timing-only read: an instruction fetch through the cache.
+
+        Same LRU, hit/miss, line-fill and :class:`AccessStats` effects as
+        ``access(address, size, False)``, but fetched text bytes are
+        opaque, so no value is read back and no :class:`AccessResult` is
+        built.  Returns the cycles.
+        """
+        cycles = self._reference(address)[1]
+        self.stats.accesses_stats.record_read(
+            size, cycles, self.energy_model.read_energy)
+        return cycles
+
+    def _reference(self, address):
+        """Look ``address`` up (filling on a miss) and mark its line most
+        recently used; return ``(line, cycles)``."""
+        self._tick += 1
+        set_index, tag = self._locate(address)
+        lines = self._sets[set_index]
+        cycles = self.latency
+        line = self._find(lines, tag)
+        if line is None:
+            self.stats.misses += 1
+            line, penalty = self._fill(lines, tag)
+            cycles += penalty
+        else:
+            self.stats.hits += 1
+        line.lru = self._tick
+        return line, cycles
 
     def _find(self, lines, tag):
         for line in lines:

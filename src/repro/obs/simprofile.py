@@ -12,9 +12,10 @@ routed access into two attribution tables:
   block map.
 
 Both engines are covered for free: the reference engine always
-publishes per access, and the fast engine switches to its granular
-per-access mode the moment any subscriber (this one included) attaches,
-so the profiler sees the identical event stream either way (tested).
+publishes per access, and this subscriber has no ``fetch_run`` method,
+so while it is attached the fast engine runs in its granular
+per-access mode and the profiler sees the identical event stream
+either way (tested).
 
 Enablement is a module-level decision made once per run in
 :meth:`Machine.run <repro.sim.machine.Machine.run>` — when observability

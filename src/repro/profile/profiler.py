@@ -156,7 +156,9 @@ class Profile:
 class Profiler(EventSubscriber):
     """Bus subscriber that accumulates a :class:`Profile` while a
     machine runs.  One subscription on the machine's event bus delivers
-    fetches, data accesses, and call events uniformly."""
+    fetches, data accesses, and call events uniformly; :meth:`fetch_run`
+    also takes a whole basic block's fetches at once, which keeps the
+    fast engine batched while a lone profiler is attached."""
 
     def __init__(self, machine, include_stack=True):
         self.machine = machine
@@ -206,18 +208,33 @@ class Profiler(EventSubscriber):
             self._record_data(event.address, event.is_write, event.at_cycle)
 
     def _record_fetch(self, address, now):
+        self.fetch_run(address, 1, now, now, self.machine.cpu.state.sp)
+
+    def fetch_run(self, address, n, first_cycle, last_cycle, min_sp):
+        """Account ``n`` consecutive fetches starting at ``address``, the
+        first at ``first_cycle`` and the last at ``last_cycle``, with
+        ``min_sp`` the lowest stack pointer before any of them.
+
+        The fast engine calls this once per basic block (it splits
+        blocks at code-block boundaries, so every fetch of the run lands
+        in the block holding ``address``); a single FETCH event is the
+        ``n == 1`` case.
+        """
         block = self._code_index.lookup(address)
         if block is None:
             return
         stats = self._stats[block.name]
-        stats.reads += 1
-        self._touch(stats, now, is_write=False)
+        stats.reads += n
+        if stats.first_touch_cycle is None:
+            stats.first_touch_cycle = first_cycle
+        stats.last_touch_cycle = last_cycle
+        self._ace.record_reads(block.name, n, first_cycle, last_cycle)
         if self._current_code is not block:
-            self._close_code_episode(now)
+            self._close_code_episode(first_cycle)
             self._current_code = block
-            self._code_episode_start = now
+            self._code_episode_start = first_cycle
             stats.references += 1
-        depth = self.machine.program.stack_top - self.machine.cpu.state.sp
+        depth = self.machine.program.stack_top - min_sp
         if depth > stats.max_stack_bytes:
             stats.max_stack_bytes = depth
 
@@ -309,9 +326,9 @@ def profile_program(program, config=None, max_instructions=None):
 
     ``config`` defaults to the pure-SRAM baseline with an empty transfer
     schedule (every access through the cache), mirroring the paper's
-    platform-neutral static profiling step.  The profiler subscribes to
-    the event bus, which forces the fast engine into its granular
-    per-access mode, so the profile equals the reference step loop's
+    platform-neutral static profiling step.  The fast engine feeds the
+    profiler one fetch record per basic block and one event per data
+    access; the profile equals the reference step loop's byte for byte
     (``tests/test_differential.py`` checks every golden workload).
     """
     config = config or baseline_sram_config()

@@ -120,16 +120,20 @@ def machine_digest(machine, error=None):
 
 
 def run_on_engine(program, config, engine, schedule=None,
-                    energy_models=None, max_instructions=None,
-                    trace=False):
+                  energy_models=None, max_instructions=None,
+                  trace=False, profile=False):
     """Run ``program`` under one engine and return its digest.
 
     A :class:`ReproError` raised by the run (limit exceeded, unmapped
     access, illegal instruction, ...) is captured into the digest as
     ``"Type: message"`` — the error path must be engine-invariant too.
-    With ``trace=True`` a recorder subscribes to the event bus (which
-    forces the fast engine into granular mode), and the digest gains the
-    access stream's record count and SHA-256.
+    With ``trace=True`` a recorder subscribes to the event bus (it wants
+    every access, so the fast engine runs granular), and the digest
+    gains the access stream's record count and SHA-256.  With
+    ``profile=True`` a :class:`~repro.profile.profiler.Profiler`
+    subscribes and the digest gains its ``profile_fingerprint``; alone
+    on the bus, the profiler takes the fast engine's block-level fetch
+    runs.
     """
     machine = Machine(program, config, energy_models=energy_models,
                       schedule=schedule, engine=engine)
@@ -137,6 +141,10 @@ def run_on_engine(program, config, engine, schedule=None,
     if trace:
         from ..workloads.traces import TraceRecorder
         recorder = TraceRecorder(machine).attach()
+    profiler = None
+    if profile:
+        from ..profile.profiler import Profiler
+        profiler = Profiler(machine).attach()
     error = None
     try:
         if max_instructions is None:
@@ -151,6 +159,10 @@ def run_on_engine(program, config, engine, schedule=None,
         digest["trace_records"] = len(captured)
         digest["trace_sha256"] = hashlib.sha256(
             captured.dumps().encode()).hexdigest()
+    if profiler is not None:
+        from ..pipeline.keys import profile_fingerprint
+        digest["profile_fingerprint"] = profile_fingerprint(
+            profiler.finish())
     return digest
 
 
@@ -191,23 +203,19 @@ class DiffReport:
 
 
 def compare_engines(program, config, schedule=None, energy_models=None,
-                    max_instructions=None, trace=False):
+                    max_instructions=None, trace=False, profile=False):
     """Run both engines over identical machines and diff the digests."""
-    reference = run_on_engine(
-        program, config, "reference", schedule=schedule,
+    digests = [run_on_engine(
+        program, config, engine, schedule=schedule,
         energy_models=energy_models, max_instructions=max_instructions,
-        trace=trace)
-    fast = run_on_engine(
-        program, config, "fast", schedule=schedule,
-        energy_models=energy_models, max_instructions=max_instructions,
-        trace=trace)
-    return DiffReport(reference, fast)
+        trace=trace, profile=profile) for engine in ("reference", "fast")]
+    return DiffReport(*digests)
 
 
 # --- divergence minimization -------------------------------------------------
 
 def source_diverges(source, config=None, max_instructions=None,
-                    trace=False):
+                    trace=False, profile=False):
     """True when assembling and running ``source`` under the two engines
     produces different digests (assembly errors count as no divergence,
     so the shrinker can delete lines freely)."""
@@ -221,7 +229,7 @@ def source_diverges(source, config=None, max_instructions=None,
         return False
     return not compare_engines(program, config,
                                max_instructions=max_instructions,
-                               trace=trace).matches
+                               trace=trace, profile=profile).matches
 
 
 def shrink_source(source, diverges=None, **kwargs):
@@ -253,7 +261,7 @@ def shrink_source(source, diverges=None, **kwargs):
 
 
 def assert_source_equivalent(source, config=None, max_instructions=None,
-                             trace=False, dump_dir=None):
+                             trace=False, profile=False, dump_dir=None):
     """Assert both engines agree on ``source``; on divergence, dump a
     minimized repro program and fail with the field-level diff."""
     from ..config import baseline_sram_config
@@ -263,14 +271,14 @@ def assert_source_equivalent(source, config=None, max_instructions=None,
     program = assemble(source)
     report = compare_engines(program, config,
                              max_instructions=max_instructions,
-                             trace=trace)
+                             trace=trace, profile=profile)
     if report.matches:
         return report
     minimized = source
     try:
         minimized = shrink_source(source, config=config,
                                   max_instructions=max_instructions,
-                                  trace=trace)
+                                  trace=trace, profile=profile)
     except Exception:
         pass  # shrinking is best-effort; the full repro still dumps
     dump_dir = dump_dir or os.path.join("tests", "failures")

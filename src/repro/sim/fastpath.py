@@ -7,22 +7,28 @@ produces **bit-identical results by construction** while skipping the
 per-cycle overhead:
 
 * programs are predecoded lazily into **basic blocks** — straight-line
-  instruction runs ending at a control transfer, a PC-trigger address, or
-  the text end — and each instruction is compiled once into an
-  operand-resolved closure (register indices, masked immediates, and flag
-  recipes baked in; the closure returns the execute-stage cycle cost
-  exactly as :meth:`Cpu.execute` would),
+  instruction runs ending at a control transfer, a PC-trigger address, a
+  code-block (``.func``) boundary, or the text end — and each
+  instruction is compiled once into an operand-resolved closure
+  (register indices, masked immediates, and flag recipes baked in; the
+  closure returns the execute-stage cycle cost exactly as
+  :meth:`Cpu.execute` would),
 * instruction-fetch accounting is **batched per block** when the whole
   block's fetch range is serviced by one constant-latency SPM region
   (counts, bytes, and cycles added in bulk; per-access dynamic energy is
   still accumulated in reference order so float sums match bit-for-bit);
-  cache-routed fetches keep calling :meth:`Cache.access` per instruction
-  because the cache is stateful,
+  cache-routed fetches call the timing-only :meth:`Cache.fetch` per
+  instruction because the cache is stateful,
 * the event bus is left silent for whole blocks when it has no
   subscribers — exactly the accesses the reference engine would publish
-  to nobody — and switches to a **granular** per-instruction mode (same
-  closures, exact ``at_cycle`` stamps) the moment a profiler, trace
-  recorder, or energy ledger subscribes,
+  to nobody.  When every subscriber accepts fetch runs (a lone
+  :class:`~repro.profile.profiler.Profiler`), a block's fetches go out as
+  **one fetch-run record** (first and last fetch cycle, lowest ``sp``)
+  while data accesses and calls still publish per event.  Any other
+  subscriber (trace recorder, energy ledger, obs hot-spot profiler)
+  switches the engine to a **granular** per-instruction mode (same
+  closures, one FETCH event per instruction with its exact
+  ``at_cycle``),
 * the engine **hands a block to the reference step loop**, one
   instruction at a time, only when a due instruction-count (timed) DMA
   action or the instruction limit falls inside it.
@@ -50,7 +56,7 @@ from ..isa.instructions import (
     Mnemonic,
     WRITES_FIRST_OPERAND,
 )
-from ..isa.registers import LR, PC
+from ..isa.registers import LR, PC, SP
 from ..mem.hierarchy import AccessType
 from .cpu import _DISPATCH, _MASK32, _signed
 from .machine import EXIT_ADDRESS
@@ -104,6 +110,14 @@ class _Block:
         self.route_version = -1
 
 
+def _count_spm_reads(device_stats, latency, n):
+    """Bank ``n`` instruction reads on a constant-latency SPM device
+    (their energy was already added one read at a time)."""
+    device_stats.reads += n
+    device_stats.read_bytes += INSTRUCTION_BYTES * n
+    device_stats.read_cycles += latency * n
+
+
 # --- condition tests ----------------------------------------------------------
 
 _CONDITION_TESTS = {
@@ -127,11 +141,14 @@ class FastEngine:
 
     Blocks and compiled closures are cached per machine (the program and
     trigger map are fixed at machine construction), so repeated ``run``
-    calls and hot loops pay the compile cost once.
+    calls and hot loops pay the compile cost once.  The engine keeps no
+    reference to the machine itself (the machine owns the engine, and is
+    passed to :meth:`run`), so a finished machine is freed by reference
+    counting alone.
     """
 
     def __init__(self, machine):
-        self.machine = machine
+        self.program = machine.program
         self.cpu = machine.cpu
         self.state = self.cpu.state
         self.regs = self.cpu.state.registers
@@ -140,15 +157,21 @@ class FastEngine:
         self.events = machine.events
         self.data_access = machine._data_access
         self._blocks = {}
-        self._trigger_pcs = frozenset(machine._triggers)
+        # a block ends before any PC-trigger address and at every code
+        # block edge, so each block lies inside one code block and a
+        # fetch run never straddles two profiled blocks
+        breaks = set(machine._triggers)
+        for code_block in self.program.code_blocks:
+            breaks.add(code_block.start)
+            breaks.add(code_block.end)
+        self._block_breaks = frozenset(breaks)
 
     # --- the run loop --------------------------------------------------------
 
-    def run(self, max_instructions):
-        """Run to halt, mirroring the reference loop's check order:
-        instruction limit, exit address, PC triggers, timed triggers —
-        then a whole block (or one reference step)."""
-        machine = self.machine
+    def run(self, machine, max_instructions):
+        """Run ``machine`` to halt, mirroring the reference loop's check
+        order: instruction limit, exit address, PC triggers, timed
+        triggers — then a whole block (or one reference step)."""
         cpu = self.cpu
         stats = self.stats
         regs = self.regs
@@ -176,21 +199,22 @@ class FastEngine:
                 continue
             n = block.n
             if (stats.instructions + n > max_instructions
-                    or self._timed_due_within(n)):
+                    or self._timed_due_within(machine, n)):
                 # A timed DMA action or the instruction limit falls inside
                 # this block: hand one instruction to the reference loop
                 # and re-evaluate.
                 machine.step()
                 continue
-            if events._subscribers:
+            if not events._subscribers:
+                self._run_batched(block)
+            elif events.fetch_runs is None:
                 self._run_granular(block)
             else:
-                self._run_batched(block)
+                self._run_fed(block)
 
     # --- fallback predicates --------------------------------------------------
 
-    def _timed_due_within(self, n):
-        machine = self.machine
+    def _timed_due_within(self, machine, n):
         index = machine._timed_index
         timed = machine._timed
         return (index < len(timed)
@@ -200,11 +224,11 @@ class FastEngine:
     # --- block construction ---------------------------------------------------
 
     def _build_block(self, pc):
-        program = self.machine.program
+        program = self.program
         instruction = program.instruction_at(pc)
         if instruction is None:
             return _STEP
-        triggers = self._trigger_pcs
+        breaks = self._block_breaks
         pcs = []
         ops = []
         mnemonics = []
@@ -217,7 +241,7 @@ class FastEngine:
             if _ends_block(instruction) or len(ops) >= _MAX_BLOCK:
                 break
             address += INSTRUCTION_BYTES
-            if address in triggers:
+            if address in breaks:
                 break
             instruction = program.instruction_at(address)
             if instruction is None:
@@ -237,12 +261,18 @@ class FastEngine:
 
     def _run_batched(self, block):
         """No subscribers: skip publishes, batch fetch/instruction
-        accounting, preserve float-accumulation order for energy."""
+        accounting, preserve float-accumulation order for energy.  A
+        ``"mixed"`` route needs the full router's per-access
+        adjudication (including its errors), which the granular loop
+        gives; with nobody subscribed its publishes cost nothing."""
+        route = self._route_of(block)
+        kind = route[0]
+        if kind == "mixed":
+            self._run_granular(block)
+            return
         stats = self.stats
         ops = block.ops
         n = block.n
-        route = self._route_of(block)
-        kind = route[0]
         exec_cycles = 0
         i = 0
         done = 0
@@ -260,54 +290,95 @@ class FastEngine:
                     exec_cycles += ops[i]()
                     i += 1
             except BaseException:
-                device_stats.reads += done
-                device_stats.read_bytes += INSTRUCTION_BYTES * done
-                device_stats.read_cycles += latency * done
+                _count_spm_reads(device_stats, latency, done)
                 stats.cycles += latency * (done - 1) + exec_cycles
                 self._count_partial(block, done)
                 raise
-            device_stats.reads += n
-            device_stats.read_bytes += INSTRUCTION_BYTES * n
-            device_stats.read_cycles += latency * n
+            _count_spm_reads(device_stats, latency, n)
             stats.cycles += latency * n + exec_cycles
         else:
-            # the cache is stateful (LRU, fills, write-backs), and mixed
-            # routes need per-access adjudication: fetch one at a time,
-            # but still through predecoded closures with no publishes
-            if kind == "cache":
-                access = self.memory.cache.access
-                pcs = block.pcs
-                try:
-                    while i < n:
-                        fetch_cycles = access(
-                            pcs[i], INSTRUCTION_BYTES, False, 0).cycles
-                        done = i + 1
-                        exec_cycles += fetch_cycles + ops[i]()
-                        i += 1
-                except BaseException:
-                    stats.cycles += exec_cycles
-                    self._count_partial(block, done)
-                    raise
-            else:
-                access = self.memory.access
-                pcs = block.pcs
-                try:
-                    while i < n:
-                        fetch_cycles = access(
-                            pcs[i], INSTRUCTION_BYTES, False, 0,
-                            AccessType.FETCH).cycles
-                        done = i + 1
-                        exec_cycles += fetch_cycles + ops[i]()
-                        i += 1
-                except BaseException:
-                    stats.cycles += exec_cycles
-                    self._count_partial(block, done)
-                    raise
+            # the cache is stateful (LRU, fills, write-backs): fetch one
+            # at a time, but still through predecoded closures with no
+            # publishes
+            fetch = self.memory.cache.fetch
+            pcs = block.pcs
+            try:
+                while i < n:
+                    fetch_cycles = fetch(pcs[i], INSTRUCTION_BYTES)
+                    done = i + 1
+                    exec_cycles += fetch_cycles + ops[i]()
+                    i += 1
+            except BaseException:
+                stats.cycles += exec_cycles
+                self._count_partial(block, done)
+                raise
             stats.cycles += exec_cycles
-        stats.instructions += n
-        counts = stats.mnemonic_counts
-        for mnemonic, count in block.counts.items():
-            counts[mnemonic] = counts.get(mnemonic, 0) + count
+        self._count_block(block)
+
+    def _run_fed(self, block):
+        """Every subscriber accepts fetch runs: fetch without per-access
+        events and publish one fetch-run record for the block.  The cycle
+        counter still advances per instruction, so data-access and call
+        events keep their exact ``at_cycle`` stamps.  A ``"mixed"`` route
+        needs the full router per fetch and runs granular instead."""
+        route = self._route_of(block)
+        kind = route[0]
+        if kind == "mixed":
+            self._run_granular(block)
+            return
+        stats = self.stats
+        regs = self.regs
+        ops = block.ops
+        n = block.n
+        first = last = stats.cycles
+        min_sp = regs[SP]
+        i = 0
+        done = 0
+        if kind == "spm":
+            device = route[1]
+            device_stats = device.stats
+            latency = device.read_latency
+            energy = device.energy_model.read_energy
+            try:
+                while i < n:
+                    device_stats.dynamic_energy += energy
+                    done = i + 1
+                    last = stats.cycles
+                    sp = regs[SP]
+                    if sp < min_sp:
+                        min_sp = sp
+                    stats.cycles += latency + ops[i]()
+                    i += 1
+            except BaseException:
+                _count_spm_reads(device_stats, latency, done)
+                self._publish_run(block, done, first, last, min_sp)
+                self._count_partial(block, done)
+                raise
+            _count_spm_reads(device_stats, latency, n)
+        else:
+            fetch = self.memory.cache.fetch
+            pcs = block.pcs
+            try:
+                while i < n:
+                    fetch_cycles = fetch(pcs[i], INSTRUCTION_BYTES)
+                    done = i + 1
+                    last = stats.cycles
+                    sp = regs[SP]
+                    if sp < min_sp:
+                        min_sp = sp
+                    stats.cycles += fetch_cycles + ops[i]()
+                    i += 1
+            except BaseException:
+                self._publish_run(block, done, first, last, min_sp)
+                self._count_partial(block, done)
+                raise
+        self._publish_run(block, n, first, last, min_sp)
+        self._count_block(block)
+
+    def _publish_run(self, block, done, first, last, min_sp):
+        if done:
+            self.events.publish_fetch_run(block.start, done, first, last,
+                                          min_sp)
 
     def _run_granular(self, block):
         """Subscribers present: every fetch travels the full router (so
@@ -332,7 +403,12 @@ class FastEngine:
         except BaseException:
             self._count_partial(block, done)
             raise
-        stats.instructions += n
+        self._count_block(block)
+
+    def _count_block(self, block):
+        """Retire a whole block's instruction and mnemonic counts."""
+        stats = self.stats
+        stats.instructions += block.n
         counts = stats.mnemonic_counts
         for mnemonic, count in block.counts.items():
             counts[mnemonic] = counts.get(mnemonic, 0) + count

@@ -105,6 +105,23 @@ class RunResult:
         return self.cycles / self.instructions
 
 
+def _data_port(memory):
+    """The CPU's ``data_access(address, size, is_write, value) ->
+    (value, cycles)`` callable, routed through ``memory``."""
+    access = memory.access
+
+    def data_access(address, size, is_write, value):
+        result = access(address, size, is_write, value, AccessType.DATA)
+        return result.value, result.cycles
+
+    return data_access
+
+
+def _cycle_clock(stats):
+    """The event bus clock: the CPU cycle counter of ``stats``."""
+    return lambda: stats.cycles
+
+
 class Machine:
     """A complete simulated platform executing one program.
 
@@ -132,8 +149,12 @@ class Machine:
         #: events are published on the same stream, stamped with the
         #: CPU cycle counter.
         self.events = self.memory.events
+        # Neither the data port nor the clock may hold the machine: a
+        # machine -> cpu -> machine cycle would keep a finished machine
+        # (and its DRAM image) alive until a full garbage collection.
+        self._data_access = _data_port(self.memory)
         self.cpu = Cpu(self._data_access, events=self.events)
-        self.events.clock = lambda: self.cpu.stats.cycles
+        self.events.clock = _cycle_clock(self.cpu.stats)
         self._fired_triggers = set()
         self._triggers = self.schedule.triggered_actions()
         self._timed = self.schedule.timed_actions()
@@ -176,11 +197,6 @@ class Machine:
         return record
 
     # --- memory plumbing ----------------------------------------------------------
-
-    def _data_access(self, address, size, is_write, value):
-        result = self.memory.access(address, size, is_write, value,
-                                    access_type=AccessType.DATA)
-        return result.value, result.cycles
 
     def _fetch(self, address):
         result = self.memory.access(address, INSTRUCTION_BYTES, False, 0,
@@ -241,7 +257,8 @@ class Machine:
         When :mod:`repro.obs` is enabled the run is wrapped in a
         ``sim.run`` span and a :class:`~repro.obs.simprofile.SimProfiler`
         subscribes to the event bus for per-device/per-block hot-spot
-        attribution (forcing the fast engine into its granular mode).
+        attribution (it wants every fetch event, so the fast engine runs
+        in its granular mode).
         Disabled, the cost is this one flag check — nothing per event.
         """
         engine = self.engine
@@ -261,7 +278,7 @@ class Machine:
                                 % (max_instructions, cpu.state.pc))
                         self.step()
                 else:
-                    self._fast_engine().run(max_instructions)
+                    self._fast_engine().run(self, max_instructions)
                 run_span.set_attr("instructions", cpu.stats.instructions)
                 run_span.set_attr("cycles", cpu.stats.cycles)
         finally:

@@ -1,6 +1,8 @@
 """L1 cache model: hits, misses, LRU, write-back accounting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.mem import Cache, DramDevice, EnergyModel
@@ -104,3 +106,37 @@ def test_reset_stats(dram):
     cache.access(0, 4, False)
     cache.reset_stats()
     assert cache.stats.accesses == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=255),
+                          st.sampled_from(["fetch", "read", "write"])),
+                max_size=60))
+def test_fetch_has_the_effects_of_a_read(accesses):
+    """``fetch`` is a timing-only read: the same cycles, hit/miss/fill,
+    LRU and access statistics as ``access(..., is_write=False)``."""
+    def build():
+        memory = DramDevice("dram", 0, 64 * 1024, latency=50,
+                            burst_word_latency=4,
+                            energy_model=EnergyModel(1e-9, 1e-9, 0))
+        return memory, make_cache(memory, size=256)
+
+    fetched_dram, fetched = build()
+    read_dram, read = build()
+    for word, kind in accesses:
+        address = 4 * word
+        if kind == "write":
+            fetched.access(address, 4, True, word)
+            read.access(address, 4, True, word)
+        elif kind == "fetch":
+            assert fetched.fetch(address, 4) == \
+                read.access(address, 4, False).cycles
+        else:
+            fetched.access(address, 4, False)
+            read.access(address, 4, False)
+    assert fetched.stats == read.stats
+    assert fetched_dram.stats == read_dram.stats
+    assert ([[(line.tag, line.valid, line.dirty, line.lru) for line in lines]
+             for lines in fetched._sets]
+            == [[(line.tag, line.valid, line.dirty, line.lru)
+                 for line in lines] for lines in read._sets])

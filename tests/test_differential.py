@@ -20,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.online import schedule_for_plan
+from repro.isa import assemble
 from repro.pipeline.context import EvaluationContext
 from repro.pipeline.keys import profile_fingerprint
+from repro.profile.profiler import profile_program
 from repro.sim.diffcheck import (
     GOLDEN_CASE_ARRAY_WORDS,
     GOLDEN_CASE_OUTER_ITERATIONS,
@@ -103,10 +105,10 @@ def test_case_study_access_stream_matches(context):
 
 
 def test_profiles_are_engine_invariant(context):
-    """The profiler's subscription forces granular mode, so on every
-    golden workload the profile fingerprint — which seeds every
-    downstream artifact key, mapping snapshot included — equals the
-    reference step loop's."""
+    """The fast engine feeds a lone profiler one fetch-run record per
+    basic block; on every golden workload the profile fingerprint —
+    which seeds every downstream artifact key, mapping snapshot
+    included — still equals the reference step loop's."""
     for name in golden_names():
         if name == "case":
             program, fast = context.case_study(
@@ -168,20 +170,69 @@ def test_shrink_source_rejects_clean_programs():
 # --- error paths -------------------------------------------------------------
 
 
+# Each error path is checked bare (batched fast path) and with a lone
+# profiler attached (fetch runs, with a partial run published before the
+# exception propagates).
+
+
 def test_execution_limit_error_path_matches():
-    assert_source_equivalent(wrap(["b main"]), max_instructions=500)
+    for profile in (False, True):
+        assert_source_equivalent(wrap(["b main"]), max_instructions=500,
+                                 profile=profile)
 
 
 def test_illegal_fetch_error_path_matches():
     # bx into DRAM far past the text section: no decoded instruction.
-    assert_source_equivalent(
-        wrap(["mov r0, #61440", "lsl r0, r0, #4", "bx r0"]),
-        max_instructions=500)
+    for profile in (False, True):
+        assert_source_equivalent(
+            wrap(["mov r0, #61440", "lsl r0, r0, #4", "bx r0"]),
+            max_instructions=500, profile=profile)
 
 
 def test_unmapped_access_error_path_matches():
-    assert_source_equivalent(
-        wrap(["mvn r0, #0", "ldr r1, [r0]"]), max_instructions=500)
+    for profile in (False, True):
+        assert_source_equivalent(
+            wrap(["mvn r0, #0", "ldr r1, [r0]"]),
+            max_instructions=500, profile=profile)
+
+
+# --- the profiler's fetch-run feed -------------------------------------------
+
+# ``main`` has no control transfer before its ``.endfunc``, so execution
+# falls through into ``tail`` in the middle of a straight-line run: the
+# fast engine must end its basic block at the ``.func`` boundary or the
+# fetch run would charge ``tail``'s instructions to ``main``.
+_FALLTHROUGH_SOURCE = """\
+.text
+.func main
+main:
+        mov r0, #0
+        mov r1, #5
+loop:
+        add r0, r0, r1
+        sub r1, r1, #1
+        cmp r1, #0
+        bne loop
+        push {r4, r5}
+        mov r4, #1
+.endfunc
+.func tail
+tail:
+        add r4, r4, r0
+        pop {r4, r5}
+        sub r2, r0, #1
+        halt
+.endfunc
+"""
+
+
+def test_fallthrough_into_next_func_profiles_match():
+    report = assert_source_equivalent(_FALLTHROUGH_SOURCE, profile=True)
+    assert "profile_fingerprint" in report.fast
+    profile = profile_program(assemble(_FALLTHROUGH_SOURCE))
+    assert profile.get("main").reads == 2 + 4 * 5 + 2
+    assert profile.get("tail").reads == 4
+    assert profile.get("tail").references == 1
 
 
 # --- differential fuzzing ----------------------------------------------------
@@ -280,8 +331,17 @@ def test_fuzz_memory_programs(lines):
 @given(control_flow_source())
 def test_fuzz_control_flow_traced(source):
     """Branch-heavy programs compared with full access-stream tracing,
-    which forces the fast engine through its granular mode."""
+    which holds the fast engine in its granular mode."""
     assert_source_equivalent(source, max_instructions=20000, trace=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(control_flow_source())
+def test_fuzz_control_flow_profiled(source):
+    """Branch-heavy programs with a ``bl`` into a ``.func leaf``, compared
+    with a lone profiler attached: the fast engine's fetch runs must
+    yield the reference loop's profile and machine digest."""
+    assert_source_equivalent(source, max_instructions=20000, profile=True)
 
 
 @pytest.mark.slow

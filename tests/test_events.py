@@ -166,6 +166,83 @@ def test_subscriber_order_does_not_change_outputs():
     assert len(vulnerabilities) == 1
 
 
+# --- the profiler's fetch-run feed ---------------------------------------------
+
+class _FetchCounting:
+    """Mixin counting the FETCH events a subscriber receives."""
+
+    fetch_events = 0
+
+    def on_access(self, event):
+        if event.is_fetch:
+            self.fetch_events += 1
+        super().on_access(event)
+
+
+class _CountingProfiler(_FetchCounting, Profiler):
+    pass
+
+
+class _CountingLedger(_FetchCounting, EnergyLedger):
+    pass
+
+
+def _case_machine():
+    return Machine(case_study_program(array_words=64, outer_iterations=1),
+                   baseline_sram_config())
+
+
+def test_bus_offers_fetch_runs_only_when_every_subscriber_takes_them():
+    machine = _case_machine()
+    bus = machine.events
+    assert bus.fetch_runs is None
+    profiler = Profiler(machine).attach()
+    assert bus.fetch_runs == (profiler.fetch_run,)
+    ledger = bus.subscribe(EnergyLedger())
+    assert bus.fetch_runs is None
+    bus.unsubscribe(ledger)
+    assert bus.fetch_runs == (profiler.fetch_run,)
+    profiler.detach()
+    assert bus.fetch_runs is None
+
+
+def test_lone_profiler_sees_no_fetch_events_under_fast_engine():
+    """Alone on the bus, the profiler takes one fetch run per basic
+    block: no instruction fetch reaches it as an AccessEvent, yet its
+    profile equals the reference step loop's."""
+    machine = _case_machine()
+    profiler = _CountingProfiler(machine).attach()
+    machine.run()
+    fed = profiler.finish()
+    assert profiler.fetch_events == 0
+    assert fed.get("Main").reads > 0
+
+    reference = Machine(machine.program, baseline_sram_config(),
+                        engine="reference")
+    oracle = _CountingProfiler(reference).attach()
+    reference.run()
+    assert profile_fingerprint(oracle.finish()) == profile_fingerprint(fed)
+    assert oracle.fetch_events == reference.cpu.stats.instructions
+
+
+def test_profiler_beside_energy_ledger_gets_every_fetch_event():
+    """A subscriber without ``fetch_run`` (the energy ledger) puts the
+    fast engine back on one FETCH event per instruction, for every
+    subscriber, and the profile is unchanged."""
+    alone = _case_machine()
+    lone = Profiler(alone).attach()
+    alone.run()
+    expected = profile_fingerprint(lone.finish())
+
+    machine = _case_machine()
+    profiler = _CountingProfiler(machine).attach()
+    ledger = machine.events.subscribe(_CountingLedger())
+    machine.run()
+    instructions = machine.cpu.stats.instructions
+    assert profiler.fetch_events == ledger.fetch_events == instructions
+    assert profile_fingerprint(profiler.finish()) == expected
+
+
 # --- engine invariance --------------------------------------------------------
 
 def _collect_stream(engine):

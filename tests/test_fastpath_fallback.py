@@ -93,10 +93,11 @@ def test_pc_triggered_dma_breaks_blocks(loop_program):
 
 
 def test_sim_profiler_attribution_survives_handoffs(loop_program):
-    """The obs hot-spot subscriber forces the fast engine into granular
-    publishing; with a mid-run DMA schedule thrown in (block-mode exits
-    and re-entries), its per-device and per-block attribution must still
-    equal the reference engine's, tally for tally."""
+    """The obs hot-spot subscriber takes no fetch runs, so the fast
+    engine publishes granularly; with a mid-run DMA schedule thrown in
+    (block-mode exits and re-entries), its per-device and per-block
+    attribution must still equal the reference engine's, tally for
+    tally."""
     from repro.obs.simprofile import SimProfiler
     from repro.sim.machine import Machine
 

@@ -1,5 +1,8 @@
 """Machine wiring: loading, schedules, run results, energy accessors."""
 
+import gc
+import weakref
+
 import pytest
 
 from conftest import read_word, register, run_source
@@ -143,3 +146,40 @@ def test_fetches_route_to_ispm_with_code_mapping():
     machine.run()
     ispm = machine.memory.instruction_spm.devices[0]
     assert ispm.stats.reads == machine.cpu.stats.instructions
+
+
+class _Tracked(Machine):
+    """A Machine that leaves a weak reference to itself behind."""
+
+    built = []
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _Tracked.built.append(weakref.ref(self))
+
+
+def _freed_without_cyclic_gc(call):
+    """True when the one machine ``call`` builds is gone as soon as it
+    returns, with the cyclic garbage collector switched off."""
+    _Tracked.built = []
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return [ref() for ref in _Tracked.built] == [None]
+    finally:
+        gc.enable()
+
+
+def test_finished_machine_is_freed_without_the_cyclic_gc(monkeypatch):
+    """No reference cycle holds a finished machine (and its 8 MB DRAM
+    image): not the bus clock, the CPU's data port, nor the fast
+    engine and its compiled closures."""
+    from repro.profile import profiler as profiler_module
+
+    monkeypatch.setattr(profiler_module, "Machine", _Tracked)
+    program = assemble(_SOURCE)
+    assert _freed_without_cyclic_gc(
+        lambda: _Tracked(program, baseline_sram_config()).run())
+    assert _freed_without_cyclic_gc(
+        lambda: profiler_module.profile_program(program))
