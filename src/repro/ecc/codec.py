@@ -9,7 +9,9 @@ The outcome names follow the paper's error taxonomy (Section IV):
 
 A codec's :meth:`Codec.decode` reports only what the hardware can know
 (clean / corrected / detected-uncorrectable).  The true classification
-needs the golden data, so :meth:`Codec.classify` compares against it.
+needs the golden data, so :meth:`Codec.classify` compares against it
+through :func:`classify_decoded`, which callers that already hold a
+decode (the scrubber) apply directly instead of decoding twice.
 """
 
 from __future__ import annotations
@@ -33,6 +35,15 @@ class ErrorClass(enum.Enum):
     DRE = "dre"  # detected and recovered
     DUE = "due"  # detected, unrecoverable
     SDC = "sdc"  # silent data corruption
+
+
+#: severity order for taking the worst of several classes
+SEVERITY = {
+    ErrorClass.NONE: 0,
+    ErrorClass.DRE: 1,
+    ErrorClass.DUE: 2,
+    ErrorClass.SDC: 3,
+}
 
 
 @dataclass(frozen=True)
@@ -71,12 +82,17 @@ class Codec:
 
     def classify(self, golden_data, corrupted_codeword):
         """Ground-truth classification of decoding a corrupted word."""
-        result = self.decode(corrupted_codeword)
-        if result.outcome is DecodeOutcome.DETECTED_UNCORRECTABLE:
-            return ErrorClass.DUE
-        if result.data == golden_data:
-            if result.outcome is DecodeOutcome.CORRECTED:
-                return ErrorClass.DRE
-            return ErrorClass.NONE
-        # Decoder delivered wrong data while claiming clean or corrected.
-        return ErrorClass.SDC
+        return classify_decoded(golden_data, self.decode(corrupted_codeword))
+
+
+def classify_decoded(golden_data, result):
+    """Ground-truth class of a :class:`DecodeResult` against the golden
+    data: the one rule every classifier applies to a decode."""
+    if result.outcome is DecodeOutcome.DETECTED_UNCORRECTABLE:
+        return ErrorClass.DUE
+    if result.data == golden_data:
+        if result.outcome is DecodeOutcome.CORRECTED:
+            return ErrorClass.DRE
+        return ErrorClass.NONE
+    # Decoder delivered wrong data while claiming clean or corrected.
+    return ErrorClass.SDC

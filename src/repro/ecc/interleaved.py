@@ -11,20 +11,19 @@ rows burn proportionally more access energy).
 
 Physical layout: physical bit ``i`` is logical bit ``i // ways`` of
 codeword ``i % ways``.
+
+A strike only changes the codewords it lands in.  An unstruck codeword
+decodes clean to its golden word (class NONE), so
+:meth:`InterleavedCodec.classify_strike` routes each flipped physical
+bit to its codeword and encodes/classifies only the struck ones.  The
+tests hold it to :meth:`~InterleavedCodec.encode_group` → flip →
+:meth:`~InterleavedCodec.classify_group`, which decode every codeword.
 """
 
 from __future__ import annotations
 
 from ..errors import FaultInjectionError
-from .codec import ErrorClass
-
-#: severity ordering for aggregating per-way outcomes
-_SEVERITY = {
-    ErrorClass.NONE: 0,
-    ErrorClass.DRE: 1,
-    ErrorClass.DUE: 2,
-    ErrorClass.SDC: 3,
-}
+from .codec import SEVERITY, ErrorClass, classify_decoded
 
 
 class InterleavedCodec:
@@ -92,7 +91,37 @@ class InterleavedCodec:
         for golden, codeword in zip(golden_words,
                                     self.deinterleave(corrupted_physical)):
             outcome = self.base.classify(golden, codeword)
-            if _SEVERITY[outcome] > _SEVERITY[worst]:
+            if SEVERITY[outcome] > SEVERITY[worst]:
+                worst = outcome
+        return worst
+
+    def classify_strike(self, golden_words, bit_positions):
+        """Worst-case class of flipping ``bit_positions`` of the physical
+        row that encodes ``golden_words``.
+
+        Physical bit ``p`` is logical bit ``p // ways`` of codeword
+        ``p % ways``; only struck codewords are encoded and decoded,
+        since an unstruck one decodes clean (class NONE).
+        """
+        ways = self.ways
+        if len(golden_words) != ways:
+            raise FaultInjectionError(
+                "need exactly %d golden words" % ways)
+        width = self.codeword_bits
+        flips = {}
+        for position in bit_positions:
+            if not 0 <= position < width:
+                raise FaultInjectionError(
+                    "bit %d outside the %d-bit row" % (position, width))
+            way = position % ways
+            flips[way] = flips.get(way, 0) ^ (1 << (position // ways))
+        base = self.base
+        worst = ErrorClass.NONE
+        for way, mask in flips.items():
+            golden = golden_words[way]
+            outcome = classify_decoded(
+                golden, base.decode(base.encode(golden) ^ mask))
+            if SEVERITY[outcome] > SEVERITY[worst]:
                 worst = outcome
         return worst
 

@@ -267,10 +267,9 @@ def experiment_ablation_interleaving(trials=25_000, seed=0x1EAF):
             harmful = sdc = 0
             for _ in range(trials):
                 words = [rng.getrandbits(64) for _ in range(ways)]
-                physical = codec.encode_group(words)
                 pattern = mbu.sample_pattern(rng, codec.codeword_bits)
-                outcome = codec.classify_group(words,
-                                               pattern.apply(physical))
+                outcome = codec.classify_strike(words,
+                                                pattern.bit_positions)
                 if outcome in (ErrorClass.DUE, ErrorClass.SDC):
                     harmful += 1
                 if outcome is ErrorClass.SDC:

@@ -15,6 +15,14 @@ end-of-epoch outcomes are classified against the golden data.  The
 scrubbing ablation sweeps the epoch count to show vulnerability falling
 toward the single-strike floor — and the energy cost of the scrub reads
 that buys it.
+
+Every scrub leaves a valid codeword: CLEAN leaves the word as it is,
+CORRECTED re-encodes the decoded data, DUE restores the golden word, and
+the word starts as ``encode(data)``.  So an epoch no strike reached
+decodes CLEAN to a class the word already carries; it draws its Poisson
+count and counts its scrub read but skips the decode.  A struck epoch
+decodes once, and a word is encoded only at its first strike.  Every
+random draw stays in order, so the counts equal the full per-epoch loop.
 """
 
 from __future__ import annotations
@@ -25,16 +33,9 @@ from dataclasses import dataclass
 
 from ..config import Protection
 from ..ecc import ParityCodec, SecDedCodec
-from ..ecc.codec import DecodeOutcome, ErrorClass
+from ..ecc.codec import SEVERITY, DecodeOutcome, ErrorClass, classify_decoded
 from ..errors import FaultInjectionError
 from .mbu import MbuDistribution
-
-_SEVERITY = {
-    ErrorClass.NONE: 0,
-    ErrorClass.DRE: 1,
-    ErrorClass.DUE: 2,
-    ErrorClass.SDC: 3,
-}
 
 
 @dataclass
@@ -91,44 +92,52 @@ class AccumulationCampaign:
         self.scrub_epochs = scrub_epochs
         self.mbu = mbu or MbuDistribution.for_node(40)
         self.rng = random.Random(seed)
-
-    def _poisson(self, mean):
-        """Knuth's algorithm; means here are tiny (<< 10)."""
-        limit = math.exp(-mean)
-        count = 0
-        product = self.rng.random()
-        while product > limit:
-            count += 1
-            product *= self.rng.random()
-        return count
+        #: Knuth's Poisson threshold for one epoch's strike count
+        self._epoch_limit = math.exp(-strike_rate / scrub_epochs)
 
     def _simulate_word(self, result):
         codec = self.codec
-        data = self.rng.getrandbits(codec.data_bits)
-        codeword = codec.encode(data)
+        width = codec.codeword_bits
+        sample_pattern = self.mbu.sample_pattern
+        rng = self.rng
+        random_ = rng.random
+        limit = self._epoch_limit
+        data = rng.getrandbits(codec.data_bits)
+        # encoded at the first strike: most words are never struck
+        golden = codeword = None
         worst = ErrorClass.NONE
-        per_epoch_rate = self.strike_rate / self.scrub_epochs
+        result.scrub_reads += self.scrub_epochs
         for _ in range(self.scrub_epochs):
-            for _ in range(self._poisson(per_epoch_rate)):
-                result.strikes += 1
-                pattern = self.mbu.sample_pattern(
-                    self.rng, codec.codeword_bits)
-                codeword = pattern.apply(codeword)
+            # Poisson strike count (Knuth's algorithm; means are << 10)
+            strikes = 0
+            product = random_()
+            while product > limit:
+                strikes += 1
+                product *= random_()
+            if not strikes:
+                # the word is still the valid codeword the last scrub
+                # left: it decodes CLEAN to a class ``worst`` holds
+                continue
+            result.strikes += strikes
+            if golden is None:
+                golden = codeword = codec.encode(data)
+            for _ in range(strikes):
+                codeword = sample_pattern(rng, width).apply(codeword)
             # scrub: read, classify, correct what the codec can
-            result.scrub_reads += 1
-            outcome = codec.classify(data, codeword)
-            if _SEVERITY[outcome] > _SEVERITY[worst]:
-                worst = outcome
             decoded = codec.decode(codeword)
+            outcome = classify_decoded(data, decoded)
+            if SEVERITY[outcome] > SEVERITY[worst]:
+                worst = outcome
             if decoded.outcome is DecodeOutcome.CORRECTED:
                 # write back the codec's corrected view (which, after a
                 # miscorrection, can itself be wrong data re-encoded)
-                codeword = codec.encode(decoded.data)
+                codeword = (golden if decoded.data == data
+                            else codec.encode(decoded.data))
                 result.scrub_writebacks += 1
             elif decoded.outcome is DecodeOutcome.DETECTED_UNCORRECTABLE:
                 # a real system would signal and reload; model the word
                 # as restored from the golden backing copy
-                codeword = codec.encode(data)
+                codeword = golden
                 result.scrub_writebacks += 1
         return worst
 

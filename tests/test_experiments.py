@@ -1,10 +1,13 @@
 """Experiment harness: every table/figure regenerates and has the
 paper's qualitative shape."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.eval import ExperimentResult, experiment_names, run_experiment
+from repro.pipeline import EvaluationContext, using_context
 
 _SMALL = dict(array_words=96, outer_iterations=2)
 
@@ -148,3 +151,26 @@ def test_experiment_text_renders_for_all():
         assert result.title
         assert result.text
         assert result.headers
+
+
+#: sha256 of ``title + "\n" + text`` of the two Monte-Carlo ablations at
+#: the benchmark's cut-down sizes, recorded from the per-word/per-row
+#: loops that encode and decode every codeword; skipping the unstruck
+#: ones must leave every draw and count, and so the text, unchanged.
+_ABLATION_DIGESTS = {
+    "ablation-interleaving": (
+        {"trials": 2_500},
+        "b38bac2d11f8edec1df5f806e5827ad1ad006420346a12803712da0c6576fe69"),
+    "ablation-scrubbing": (
+        {"words": 800},
+        "baf6dc9356c695a87551cc5ff19f3b2a98d77ca796f7dd470236ecc8f7659875"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ABLATION_DIGESTS))
+def test_monte_carlo_ablation_text_is_pinned(name):
+    params, expected = _ABLATION_DIGESTS[name]
+    with using_context(EvaluationContext()):
+        result = run_experiment(name, **params)
+    text = result.title + "\n" + result.text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected

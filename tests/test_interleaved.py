@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ecc import (
     DecodeOutcome,
@@ -12,6 +14,7 @@ from repro.ecc import (
     SecDedCodec,
 )
 from repro.errors import FaultInjectionError
+from repro.faults.mbu import MbuDistribution
 
 
 @pytest.fixture(scope="module")
@@ -117,3 +120,78 @@ def test_energy_factor_monotonic():
 def test_invalid_ways_rejected():
     with pytest.raises(FaultInjectionError):
         InterleavedCodec(SecDedCodec(64), ways=0)
+
+
+# --- classify_strike: only struck ways are decoded -----------------------------
+
+_WAYS = (1, 2, 3, 4, 8)
+_CODECS = {(name, ways): InterleavedCodec(base, ways=ways)
+           for name, base in (("secded", SecDedCodec(64)),
+                              ("parity", ParityCodec(32)))
+           for ways in _WAYS}
+
+
+def _group_reference(codec, words, positions):
+    """Encode the whole row, flip ``positions``, classify every way."""
+    physical = codec.encode_group(words)
+    for position in positions:
+        physical ^= 1 << position
+    return codec.classify_group(words, physical)
+
+
+@st.composite
+def strikes(draw, ways, positions):
+    codec = _CODECS[(draw(st.sampled_from(("secded", "parity"))), ways)]
+    words = draw(st.lists(
+        st.integers(min_value=0, max_value=2**codec.base.data_bits - 1),
+        min_size=codec.ways, max_size=codec.ways))
+    return codec, words, draw(positions(codec))
+
+
+def _mbu_patterns(codec):
+    return st.integers(min_value=0, max_value=2**32 - 1).map(
+        lambda seed: MbuDistribution.for_node(40).sample_pattern(
+            random.Random(seed), codec.codeword_bits).bit_positions)
+
+
+def _arbitrary_bits(codec):
+    """Any bits of the row; a bit listed twice flips back."""
+    return st.lists(st.integers(min_value=0,
+                                max_value=codec.codeword_bits - 1),
+                    max_size=12)
+
+
+@st.composite
+def _one_way(draw, codec):
+    """Several flips in one codeword: physical bits ``ways`` apart."""
+    way = draw(st.integers(min_value=0, max_value=codec.ways - 1))
+    logical = draw(st.sets(st.integers(
+        min_value=0, max_value=codec.base.codeword_bits - 1),
+        min_size=1, max_size=5))
+    return sorted(bit * codec.ways + way for bit in logical)
+
+
+@pytest.mark.parametrize("positions", [_mbu_patterns, _arbitrary_bits,
+                                       _one_way])
+@pytest.mark.parametrize("ways", _WAYS)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_classify_strike_matches_group_reference(ways, positions, data):
+    codec, words, flips = data.draw(strikes(ways, positions))
+    assert codec.classify_strike(words, flips) is _group_reference(
+        codec, words, flips)
+
+
+@pytest.mark.parametrize("ways", _WAYS)
+def test_classify_strike_rejects_wrong_group_size(ways):
+    codec = _CODECS[("secded", ways)]
+    for size in (ways - 1, ways + 1):
+        with pytest.raises(FaultInjectionError):
+            codec.classify_strike([0] * size, [0])
+
+
+def test_classify_strike_rejects_bits_outside_the_row(codec):
+    with pytest.raises(FaultInjectionError):
+        codec.classify_strike([0] * 4, [codec.codeword_bits])
+    with pytest.raises(FaultInjectionError):
+        codec.classify_strike([0] * 4, [-1])

@@ -1,9 +1,13 @@
 """Error accumulation and scrubbing campaigns."""
 
+import math
+
 import pytest
 
 from repro.config import Protection
+from repro.ecc.codec import SEVERITY, DecodeOutcome, ErrorClass
 from repro.faults import AccumulationCampaign
+from repro.faults.scrubbing import AccumulationResult
 from repro.errors import FaultInjectionError
 
 
@@ -30,7 +34,6 @@ def test_strike_counts_scale_with_rate():
     assert high.strikes == pytest.approx(2.0 * 2000, rel=0.1)
 
 
-@pytest.mark.slow
 def test_scrubbing_reduces_secded_harm():
     unscrubbed = run(rate=1.5, epochs=1, words=3000, seed=3)
     scrubbed = run(rate=1.5, epochs=16, words=3000, seed=3)
@@ -85,3 +88,63 @@ def test_single_strike_limit_matches_injector_model():
     harmful_over_struck = (result.due + result.sdc) / max(
         1, result.dre + result.due + result.sdc)
     assert harmful_over_struck == pytest.approx(0.38, abs=0.05)
+
+
+# --- oracle: the full per-epoch loop ------------------------------------------
+
+def _poisson(rng, mean):
+    limit = math.exp(-mean)
+    count = 0
+    product = rng.random()
+    while product > limit:
+        count += 1
+        product *= rng.random()
+    return count
+
+
+def reference_run(campaign, words):
+    """The campaign done the long way, for comparison: encode every word
+    up front and classify, then decode, the word in every epoch, struck
+    or not, with the campaign's own codec, MBU model and RNG."""
+    codec, rng = campaign.codec, campaign.rng
+    result = AccumulationResult(words=words, epochs=campaign.scrub_epochs)
+    per_epoch_rate = campaign.strike_rate / campaign.scrub_epochs
+    for _ in range(words):
+        data = rng.getrandbits(codec.data_bits)
+        codeword = codec.encode(data)
+        worst = ErrorClass.NONE
+        for _ in range(campaign.scrub_epochs):
+            for _ in range(_poisson(rng, per_epoch_rate)):
+                result.strikes += 1
+                pattern = campaign.mbu.sample_pattern(
+                    rng, codec.codeword_bits)
+                codeword = pattern.apply(codeword)
+            result.scrub_reads += 1
+            outcome = codec.classify(data, codeword)
+            if SEVERITY[outcome] > SEVERITY[worst]:
+                worst = outcome
+            decoded = codec.decode(codeword)
+            if decoded.outcome is DecodeOutcome.CORRECTED:
+                codeword = codec.encode(decoded.data)
+                result.scrub_writebacks += 1
+            elif decoded.outcome is DecodeOutcome.DETECTED_UNCORRECTABLE:
+                codeword = codec.encode(data)
+                result.scrub_writebacks += 1
+        setattr(result, worst.value, getattr(result, worst.value) + 1)
+    return result
+
+
+@pytest.mark.parametrize("protection", [Protection.SECDED,
+                                        Protection.PARITY])
+@pytest.mark.parametrize("epochs", [1, 2, 16, 64])
+@pytest.mark.parametrize("rate", [0.0, 0.05, 1.5, 5.0])
+def test_campaign_matches_full_epoch_oracle(protection, epochs, rate):
+    """Skipping unstruck epochs, decoding struck ones once and encoding
+    lazily changes no count and no draw."""
+    words = max(16, 600 // epochs)
+    for seed in (1, 0x5C12B + epochs, 97):
+        fast, slow = (AccumulationCampaign(
+            protection=protection, strike_rate=rate, scrub_epochs=epochs,
+            seed=seed) for _ in range(2))
+        assert fast.run(words=words) == reference_run(slow, words)
+        assert fast.rng.getstate() == slow.rng.getstate()
